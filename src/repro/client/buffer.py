@@ -9,7 +9,8 @@ next cycle" retry semantics (§5.3) possible.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from itertools import islice
+from typing import Deque, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.sensing.scheduler import Observation
@@ -58,19 +59,23 @@ class ObservationBuffer:
         """Everything, oldest first, without removing."""
         return list(self._items)
 
-    def pop_while(self, predicate: Callable[[Observation], bool]) -> List[Observation]:
-        """Remove and return the oldest-first prefix satisfying
-        ``predicate`` (stops at the first non-match).
+    def peek(self, limit: int) -> List[Observation]:
+        """The oldest ``limit`` items, oldest first, without removing —
+        O(limit) however deep the buffer is."""
+        return list(islice(self._items, limit))
 
-        The ack-cursor primitive: a consumer that acknowledged up to
-        cursor N pops exactly the ``<= N`` prefix, leaving unacked items
-        queued. Popping a prefix is not an eviction, so ``evicted`` does
-        not move.
+    def pop_oldest(self, count: int) -> List[Observation]:
+        """Remove and return the ``count`` oldest items (everything,
+        when fewer are queued).
+
+        The ack-cursor primitive: a subscriber's queued events carry
+        contiguous cursors, so acknowledging up to cursor N pops a
+        prefix of known length, leaving unacked items queued. Popping a
+        prefix is not an eviction, so ``evicted`` does not move.
         """
-        popped: List[Observation] = []
-        while self._items and predicate(self._items[0]):
-            popped.append(self._items.popleft())
-        return popped
+        return [
+            self._items.popleft() for _ in range(min(count, len(self._items)))
+        ]
 
     def requeue_front(self, observations: List[Observation]) -> List[Observation]:
         """Put back observations after a failed transmission (order kept).

@@ -6,7 +6,7 @@ the wire simply re-serves the same events next time. The
 :class:`StreamConsumer` turns that into exactly-once consumption by
 tracking the highest cursor it has handed to the application and
 acknowledging it on the next poll — the ack-cursor counterpart of the
-outbox's :meth:`~repro.client.buffer.ObservationBuffer.pop_while`.
+outbox's :meth:`~repro.client.buffer.ObservationBuffer.pop_oldest`.
 
 Like :class:`~repro.client.uplink.RestBatchUplink`, the consumer speaks
 to anything with ``handle(Request) -> Response`` — the in-process

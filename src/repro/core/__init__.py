@@ -17,7 +17,17 @@ Figure 2's components, one module each:
   private-field stripping, open-data location coarsening;
 - :mod:`repro.core.server` — the composition root tying everything to
   the broker and the document store.
+
+``GoFlowServer`` is resolved on first access instead of at import: the
+composition root is the one core module that imports *upward*
+(``repro.sharding``, ``repro.streaming``), and both of those import
+core leaves (``repro.core.errors``, ``repro.core.datamgmt``). Importing
+it eagerly here made ``import repro.sharding`` / ``import
+repro.streaming`` fail in a fresh interpreter with a partially
+initialised module.
 """
+
+from typing import Any
 
 from repro.core.errors import (
     AuthenticationError,
@@ -35,7 +45,15 @@ from repro.core.jobs import BackgroundJob, JobManager, JobStatus
 from repro.core.analytics import AnalyticsEngine
 from repro.core.api import GoFlowAPI, Request, Response
 from repro.core.retention import RetentionEnforcer, RetentionPolicy
-from repro.core.server import GoFlowServer
+
+
+def __getattr__(name: str) -> Any:
+    if name == "GoFlowServer":
+        from repro.core.server import GoFlowServer
+
+        return GoFlowServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Account",

@@ -57,14 +57,27 @@ class FilterSpec:
     def matches(
         self, app_id: str, document: Dict[str, Any], region: str
     ) -> bool:
-        """Whether one stored/wire observation satisfies this spec."""
+        """Whether one stored/wire observation satisfies this spec.
+
+        The whole predicate: what the subscription index answers by
+        bucket placement (app, region) plus :meth:`matches_fields`.
+        """
         if self.app_id is not None and app_id != self.app_id:
             return False
+        if self.regions is not None and region not in self.regions:
+            return False
+        return self.matches_fields(document)
+
+    def matches_fields(self, document: Dict[str, Any]) -> bool:
+        """The residual predicate — datatype, model, ``taken_at`` window.
+
+        What is left to evaluate once app and region are settled: the
+        fan-out runs only this on the candidates its ``(app, region)``
+        index returns.
+        """
         if self.datatype is not None and datatype_of(document) != self.datatype:
             return False
         if self.model is not None and document.get("model") != self.model:
-            return False
-        if self.regions is not None and region not in self.regions:
             return False
         if self.since is not None or self.until is not None:
             taken_at = document.get("taken_at")

@@ -9,6 +9,19 @@ bounded outboxes — the same drop-oldest
 :class:`~repro.client.buffer.ObservationBuffer` machinery the phone
 uses, pointed the other way.
 
+Fan-out cost: live subscriptions sit in an index keyed ``(app or None,
+region or None)`` — a spec naming k cells occupies k buckets, a
+region-unfiltered one its app's wildcard bucket — so a stored
+observation looks up at most four buckets and evaluates only the
+residual predicate (datatype / model / ``taken_at`` window) on what
+they hold: O(candidates), not O(subscribers). Each observation builds
+one event (plus one tile event per scope) that every recipient's outbox
+references; a queued event is never mutated, and the only copies are
+the per-poll ones :meth:`SubscriptionManager.next_events` hands out,
+with the recipient's cursor stamped in. The cursor is not stored: an
+outbox only ever loses its oldest entries, so what it holds is always
+the contiguous run ending at ``next_cursor - 1``.
+
 Isolation: subscription ids are sequential and therefore guessable, so
 each subscription records the principal scope (``owner_app``,
 ``owner_user``) it was created under, and polls/deletes from any other
@@ -113,6 +126,13 @@ class Subscription:
         #: app (and, when recorded, the owning user) or they 404.
         self.owner_app = owner_app
         self.owner_user = owner_user
+        #: queued events, oldest first — the very dicts every other
+        #: recipient's outbox holds, so never mutated. Their cursors
+        #: are positional: the run ending at ``next_cursor - 1``
+        #: (see :attr:`front_cursor`). No per-entry wrapper — a
+        #: ``(cursor, event)`` tuple per push would be a GC-tracked
+        #: object per push, and full collections over a few hundred
+        #: thousand of them showed as 20-30 ms ingest stalls.
         self.outbox = ObservationBuffer(capacity=capacity)
         #: next cursor to assign (cursors are contiguous from 1)
         self.next_cursor = 1
@@ -125,6 +145,22 @@ class Subscription:
         self.lagged_markers = 0
         self.polls = 0
         self._eviction_reported = False
+
+    @property
+    def front_cursor(self) -> int:
+        """Cursor of the oldest queued event (``next_cursor`` when the
+        outbox is empty): drops, acks and eviction only ever remove
+        from the front, so the queue is a contiguous cursor run."""
+        return self.next_cursor - len(self.outbox)
+
+    def index_keys(self) -> List[Tuple[Optional[str], Optional[str]]]:
+        """The fan-out index buckets this subscription's spec occupies:
+        one per named region cell, the app's wildcard bucket when
+        regions are unfiltered, none for an empty region set."""
+        spec = self.spec
+        if spec.regions is None:
+            return [(spec.app_id, None)]
+        return [(spec.app_id, region) for region in spec.regions]
 
     def info(self) -> Dict[str, Any]:
         """Observability snapshot (caller holds the manager lock)."""
@@ -181,6 +217,14 @@ class SubscriptionManager:
         #: atomic per event, or a drained stream shows gaps/duplicates.
         self._lock = concurrency.make_rlock()
         self._subs: Dict[str, Subscription] = {}
+        #: the fan-out index: *live* subscriptions by ``(app or None,
+        #: region or None)`` bucket (see ``Subscription.index_keys``).
+        #: ``_subs`` keeps evicted entries for their marker poll and
+        #: 404-free delete; the index — what ingest pays for — doesn't.
+        self._index: Dict[
+            Tuple[Optional[str], Optional[str]], Dict[str, Subscription]
+        ] = {}
+        self._live = 0
         self._ids = itertools.count(1)
         #: the global tile accumulator — every app's observations fold
         #: in. Serves app-unscoped subscriptions and direct snapshots.
@@ -193,6 +237,9 @@ class SubscriptionManager:
         self._unsubscribed = 0
         self._evictions = 0
         self._fanned_out = 0
+        #: subscriptions ``on_stored`` examined (bucket members) — the
+        #: attempts ``fanned_out`` is the useful outcome of
+        self._candidates = 0
         self._dropped = 0
         self._lagged = 0
         self._polls = 0
@@ -244,7 +291,7 @@ class SubscriptionManager:
             max_overruns = self._default_max_overruns
         with self._lock:
             sub_id = f"sub-{next(self._ids)}"
-            self._subs[sub_id] = Subscription(
+            sub = self._subs[sub_id] = Subscription(
                 sub_id,
                 spec or FilterSpec(),
                 observations,
@@ -254,8 +301,21 @@ class SubscriptionManager:
                 owner_app=owner_app,
                 owner_user=owner_user,
             )
+            for key in sub.index_keys():
+                self._index.setdefault(key, {})[sub_id] = sub
+            self._live += 1
             self._created += 1
             return sub_id
+
+    def _unindex(self, sub: Subscription) -> None:
+        """Take a live subscription out of the fan-out index (caller
+        holds the lock): ingest stops paying for it from here on."""
+        for key in sub.index_keys():
+            bucket = self._index[key]
+            del bucket[sub.sub_id]
+            if not bucket:
+                del self._index[key]
+        self._live -= 1
 
     def _checked(
         self,
@@ -304,6 +364,8 @@ class SubscriptionManager:
         with self._lock:
             sub = self._checked(sub_id, app_id, user_id)
             del self._subs[sub_id]
+            if sub.state == "live":
+                self._unindex(sub)
             self._unsubscribed += 1
             return {"removed": True, "state": sub.state}
 
@@ -328,6 +390,12 @@ class SubscriptionManager:
         either way. The whole fan-out runs under the manager lock so
         per-subscription cursors stay contiguous.
 
+        Cost per observation: ``region_of``, the two in-place tile
+        folds, at most four index lookups — ``(app, region)``, ``(app,
+        None)``, ``(None, region)``, ``(None, None)`` — and the
+        residual predicate on the candidates those buckets hold. With
+        no candidate, no event is built at all.
+
         Tile scoping: every observation folds into the global tile
         engine *and* into its app's engine. A subscription whose spec
         names an app (every REST subscription — ``FilterSpec.
@@ -338,7 +406,7 @@ class SubscriptionManager:
         with self._lock:
             emitted_at = self._clock()
             emitted_wall = self._wall()
-            subs = list(self._subs.values())
+            index = self._index
             app_engine = self._app_tiles.get(app_id)
             if app_engine is None:
                 app_engine = self._app_tiles[app_id] = TileDeltaEngine(
@@ -346,61 +414,68 @@ class SubscriptionManager:
                 )
             for document, doc_id in pairs:
                 region = region_of(document, self._cell_m)
-                event = observation_event(document, doc_id, app_id, region)
-                event["emitted_at"] = emitted_at
-                event["emitted_wall"] = emitted_wall
-                global_state = self.tiles.observe(document, region)
-                app_state = app_engine.observe(document, region)
-                #: tile events by scope (None = global, str = that
-                #: app), built lazily once per stored document
-                tile_events: Dict[Optional[str], Dict[str, Any]] = {}
-                for sub in subs:
-                    if sub.state != "live":
-                        continue
-                    if sub.observations and sub.spec.matches(
-                        app_id, document, region
-                    ):
-                        self._push(sub, event)
-                    if (
-                        sub.state == "live"
-                        and sub.tiles
-                        and sub.spec.wants_region(region)
-                    ):
-                        scope = sub.spec.app_id
-                        if scope is not None and scope != app_id:
-                            # another app's observation: this sub's
-                            # tiles are untouched, nothing to push.
+                global_tile = self.tiles.observe(document, region)
+                app_tile = app_engine.observe(document, region)
+                #: built on first use, then shared by every recipient
+                event: Optional[Dict[str, Any]] = None
+                # a subscription sits in at most one of these four
+                # buckets (one app key; wildcard *or* named regions),
+                # so no candidate is visited twice
+                for scope, tile in ((app_id, app_tile), (None, global_tile)):
+                    tile_event: Optional[Dict[str, Any]] = None
+                    for key in ((scope, region), (scope, None)):
+                        bucket = index.get(key)
+                        if bucket is None:
                             continue
-                        tile_event = tile_events.get(scope)
-                        if tile_event is None:
-                            tile_event = tile_events[scope] = {
-                                "kind": "tile",
-                                **(
-                                    global_state
-                                    if scope is None
-                                    else app_state
-                                ),
-                                "emitted_at": emitted_at,
-                                "emitted_wall": emitted_wall,
-                            }
-                        self._push(sub, tile_event)
+                        self._candidates += len(bucket)
+                        evictions = self._evictions
+                        for sub in bucket.values():
+                            if sub.observations and sub.spec.matches_fields(
+                                document
+                            ):
+                                if event is None:
+                                    event = observation_event(
+                                        document, doc_id, app_id, region
+                                    )
+                                    event["emitted_at"] = emitted_at
+                                    event["emitted_wall"] = emitted_wall
+                                self._push(sub, event)
+                            if sub.tiles and sub.state == "live":
+                                if tile_event is None:
+                                    tile_event = {
+                                        "kind": "tile",
+                                        "region": region,
+                                        **tile,
+                                        "emitted_at": emitted_at,
+                                        "emitted_wall": emitted_wall,
+                                    }
+                                self._push(sub, tile_event)
+                        if self._evictions != evictions:
+                            # deferred to here: a bucket can't shrink
+                            # while it is being iterated
+                            for sub in [
+                                sub
+                                for sub in bucket.values()
+                                if sub.state != "live"
+                            ]:
+                                self._unindex(sub)
 
     def _push(self, sub: Subscription, event: Dict[str, Any]) -> None:
-        """Stamp the next cursor and append; applies the drop policy."""
-        stamped = dict(event)
-        stamped["cursor"] = sub.next_cursor
+        """Queue ``event`` under the next cursor; applies the drop
+        policy. The outbox references the shared event — no copy."""
         sub.next_cursor += 1
         sub.delivered += 1
         self._fanned_out += 1
-        evicted = sub.outbox.push(stamped)
-        if evicted:
-            sub.dropped += len(evicted)
-            sub.overruns += len(evicted)
-            self._dropped += len(evicted)
+        dropped = sub.outbox.push(event)
+        if dropped:
+            sub.dropped += len(dropped)
+            sub.overruns += len(dropped)
+            self._dropped += len(dropped)
             if sub.max_overruns and sub.overruns >= sub.max_overruns:
                 # the slow consumer exhausted its budget: discard the
                 # outbox (those events were never going to be drained
-                # in time anyway) and stop fanning out to it.
+                # in time anyway); ``on_stored`` drops it from the
+                # index so ingest stops paying for it.
                 sub.state = "evicted"
                 sub.outbox.drain()
                 self._evictions += 1
@@ -448,9 +523,7 @@ class SubscriptionManager:
                 if ack < 0:
                     raise ValidationError(f"ack must be >= 0, got {ack}")
                 sub.acked = min(max(sub.acked, ack), sub.next_cursor - 1)
-                sub.outbox.pop_while(
-                    lambda event: event["cursor"] <= sub.acked
-                )
+                sub.outbox.pop_oldest(sub.acked - sub.front_cursor + 1)
             if sub.state == "evicted":
                 events: List[Dict[str, Any]] = []
                 if not sub._eviction_reported:
@@ -465,9 +538,11 @@ class SubscriptionManager:
                     "cursor": sub.acked,
                     "pending": 0,
                 }
-            pending = sub.outbox.peek_all()
+            # everything still queued is past ``acked`` (acks pop their
+            # prefix), so a poll costs O(limit), not O(outbox depth)
+            front = sub.front_cursor
+            head = sub.outbox.peek(limit)
             events = []
-            front = pending[0]["cursor"] if pending else sub.next_cursor
             if front > sub.acked + 1:
                 # the drop-oldest policy consumed the gap: surface it
                 # once, then resume from the oldest surviving event.
@@ -482,22 +557,18 @@ class SubscriptionManager:
                 sub.acked = front - 1
                 sub.lagged_markers += 1
                 self._lagged += 1
-            returned = 0
-            cursor = sub.acked
-            for event in pending:
-                if event["cursor"] <= sub.acked:
-                    continue
-                if returned >= limit:
-                    break
-                events.append(dict(event))
-                cursor = event["cursor"]
-                returned += 1
+            events.extend(
+                {**event, "cursor": cursor}
+                for cursor, event in enumerate(head, front)
+            )
             return {
                 "subscription_id": sub_id,
                 "state": sub.state,
                 "events": events,
-                "cursor": cursor,
-                "pending": len(pending) - returned,
+                # nothing returned -> nothing new to ack: ``acked``
+                # is ``front - 1`` by now
+                "cursor": front + len(head) - 1,
+                "pending": len(sub.outbox) - len(head),
             }
 
     # -- map surface ---------------------------------------------------------
@@ -536,13 +607,13 @@ class SubscriptionManager:
     def stats(self) -> Dict[str, Any]:
         """The ``middleware_stats()["streaming"]`` section."""
         with self._lock:
-            live = sum(1 for sub in self._subs.values() if sub.state == "live")
             return {
-                "subscriptions": live,
+                "subscriptions": self._live,
                 "created": self._created,
                 "unsubscribed": self._unsubscribed,
                 "evicted": self._evictions,
                 "fanned_out": self._fanned_out,
+                "candidates": self._candidates,
                 "dropped": self._dropped,
                 "lagged_markers": self._lagged,
                 "polls": self._polls,

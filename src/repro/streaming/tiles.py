@@ -58,10 +58,12 @@ class TileDeltaEngine:
     def observe(
         self, document: Dict[str, Any], region: Optional[str] = None
     ) -> Dict[str, Any]:
-        """Fold one observation; returns the region's post-fold state.
+        """Fold one observation in place; returns the region's tile.
 
-        The returned dict is a private copy — callers may ship it as a
-        delta event body without freezing the accumulator.
+        The returned dict is the **live accumulator**, not a copy — the
+        fold runs for every stored observation, subscribers or not, so
+        it allocates nothing. A caller that ships the state (a delta
+        event body) copies it first.
         """
         if region is None:
             region = region_of(document, self.cell_m)
@@ -78,7 +80,7 @@ class TileDeltaEngine:
             if tile["max_dba"] is None or sample > tile["max_dba"]:
                 tile["max_dba"] = sample
         self.deltas += 1
-        return {"region": region, **tile}
+        return tile
 
     def tile(self, region: str) -> Optional[Dict[str, Any]]:
         """A copy of one region's current tile state (None if unseen)."""

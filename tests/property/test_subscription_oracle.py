@@ -14,10 +14,12 @@ second source of truth. Two oracles pin that down:
    order).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.datamgmt import DataQuery
+from repro.core.errors import NotFoundError
 from repro.core.server import GoFlowServer
 from repro.sharding.region import region_of
 from repro.streaming import (
@@ -194,6 +196,61 @@ class TestSubscriptionOracle:
         )
         assert _strip(received) == _brute_force(
             server, spec, server.streaming.cell_m
+        )
+
+
+#: one of each index placement: everything, region-unscoped within the
+#: app, app-unscoped within two cells, and fully scoped
+MIXED_SCOPES = [
+    FilterSpec(),
+    FilterSpec(app_id=APP),
+    FilterSpec(regions=frozenset({"g0:0", "g1:0"})),
+    FilterSpec(app_id=APP, regions=frozenset({"g0:0", "d1"})),
+]
+
+
+class TestMixedScopeOracle:
+    """Scoped and unscoped subscriptions side by side: each stream is
+    its own re-filter, and one leaving mid-stream moves no other."""
+
+    @pytest.mark.parametrize("sharding", [None, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        docs=DOCUMENTS,
+        extra=st.lists(SPECS, max_size=3),
+        leaver=st.integers(min_value=0, max_value=3),
+    )
+    def test_each_stream_is_its_own_refilter(self, sharding, docs, extra, leaver):
+        server = GoFlowServer(sharding=sharding)
+        server.register_app(APP)
+        specs = MIXED_SCOPES + extra
+        subs = [server.streaming.subscribe(spec) for spec in specs]
+        wire = _wire_documents(docs)
+        half = len(wire) // 2
+        server.data.ingest_many(APP, wire[:half])
+        before_leaving = _strip(_drain(server, subs[leaver]))
+        stored_then = len(_stored(server))
+        server.streaming.unsubscribe(subs[leaver])
+        server.data.ingest_many(APP, wire[half:])
+        cell_m = server.streaming.cell_m
+        for index, (sub, spec) in enumerate(zip(subs, specs)):
+            expected = _brute_force(server, spec, cell_m)
+            if index == leaver:
+                with pytest.raises(NotFoundError):
+                    server.streaming.next_events(sub)
+                # it saw exactly the first half's matches, then nothing
+                stored_ids = {d["_id"] for d in _stored(server)[:stored_then]}
+                assert before_leaving == [
+                    e for e in expected if e["_id"] in stored_ids
+                ]
+                continue
+            received = _drain(server, sub)
+            assert [e["cursor"] for e in received] == list(
+                range(1, len(received) + 1)
+            )
+            assert _strip(received) == expected
+        assert server.middleware_stats()["streaming"]["subscriptions"] == (
+            len(specs) - 1
         )
 
 

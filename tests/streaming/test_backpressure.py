@@ -119,6 +119,30 @@ class TestEviction:
             == delivered_at_eviction
         )
 
+    def test_evicted_subscriber_stops_costing_ingest(self):
+        """Eviction takes the subscription out of the fan-out index —
+        not just out of the deliveries: ingest examines it no more,
+        though it stays registered until its client deletes it."""
+        server = make_server()
+        sub = server.streaming.subscribe(capacity=1, max_overruns=1)
+        server.data.ingest_many(APP, [doc(0), doc(1)])
+        assert server.streaming.subscription_info(sub)["state"] == "evicted"
+        examined = server.middleware_stats()["streaming"]["candidates"]
+        assert examined == 2
+        server.data.ingest_many(APP, [doc(i) for i in range(2, 12)])
+        stats = server.middleware_stats()["streaming"]
+        assert stats["candidates"] == examined
+        assert stats["subscriptions"] == 0
+        # still there for its one-time marker and a clean delete
+        assert server.streaming.next_events(sub)["events"] == [
+            {"kind": "evicted", "overruns": 1}
+        ]
+        assert server.streaming.unsubscribe(sub) == {
+            "removed": True,
+            "state": "evicted",
+        }
+        assert server.middleware_stats()["streaming"]["subscriptions"] == 0
+
     def test_zero_budget_disables_eviction(self):
         server = make_server()
         sub = server.streaming.subscribe(capacity=2, max_overruns=0)

@@ -131,6 +131,55 @@ class TestFanOut:
         assert len(result["events"]) == 1
 
 
+class TestFanOutCost:
+    """``on_stored`` pays for the subscriptions an observation's
+    ``(app, region)`` selects, not for the ones registered. Counts
+    only — no wall clock, nothing to flake."""
+
+    @staticmethod
+    def _costs(bystanders):
+        server = make_server()
+        watcher = server.streaming.subscribe(
+            FilterSpec(app_id=APP, regions=frozenset({"g0:0"})), tiles=True
+        )
+        for index in range(bystanders):
+            # dashboards on other cells (9 each, like the live map's),
+            # other apps, and one that filters everything out
+            server.streaming.subscribe(
+                FilterSpec(
+                    app_id=APP if index % 2 else "other-app",
+                    regions=frozenset(
+                        f"g{7 + index % 5 + dx}:{3 + dy}"
+                        for dx in range(3)
+                        for dy in range(3)
+                    ),
+                ),
+                tiles=True,
+            )
+        server.streaming.subscribe(FilterSpec(regions=frozenset()))
+        ingest(server, [doc(i) for i in range(20)])
+        stats = server.middleware_stats()["streaming"]
+        received = len(server.streaming.next_events(watcher, limit=100)["events"])
+        return stats["candidates"], stats["fanned_out"], received
+
+    def test_cost_is_independent_of_uninterested_subscribers(self):
+        # one candidate per stored observation; an observation and a
+        # tile event pushed for each
+        assert self._costs(0) == (20, 40, 40)
+        assert self._costs(64) == (20, 40, 40)
+        assert self._costs(512) == (20, 40, 40)
+
+    def test_candidates_count_residual_rejections(self):
+        """A candidate the residual predicate turns down was still
+        examined: ``candidates`` counts attempts, ``fanned_out`` the
+        useful outcomes."""
+        server = make_server()
+        server.streaming.subscribe(FilterSpec(app_id=APP, model="nexus5"))
+        ingest(server, [doc(0, model="iphone6"), doc(1, model="nexus5")])
+        stats = server.middleware_stats()["streaming"]
+        assert (stats["candidates"], stats["fanned_out"]) == (2, 1)
+
+
 class TestFilters:
     def test_region_filter(self):
         server = make_server()
@@ -367,6 +416,27 @@ class TestRestSurface:
         (again,) = server.streaming.next_events(sub)["events"]
         assert again["noise_dba"] == 50.0
         assert again["kind"] == "observation"
+
+    def test_shared_event_is_not_aliased_across_subscribers(self):
+        """Every recipient's outbox references the one event built per
+        stored observation (and the one tile event per scope): a
+        consumer mutating what it was handed must reach neither its
+        own re-served copy nor another subscriber's."""
+        server = make_server()
+        first = server.streaming.subscribe(FilterSpec(app_id=APP), tiles=True)
+        second = server.streaming.subscribe(FilterSpec(app_id=APP), tiles=True)
+        ingest(server, [doc(0)])
+        for event in server.streaming.next_events(first)["events"]:
+            event["region"] = "tampered"
+            event["cursor"] = 99
+            event.pop("emitted_wall")
+        for sub in (first, second):
+            observation, tile = server.streaming.next_events(sub)["events"]
+            assert (observation["kind"], observation["cursor"]) == ("observation", 1)
+            assert (tile["kind"], tile["cursor"]) == ("tile", 2)
+            assert observation["region"] == tile["region"] == "g0:0"
+            assert "emitted_wall" in observation and "emitted_wall" in tile
+            assert tile["count"] == 1
 
 
 class TestClientConsumer:
