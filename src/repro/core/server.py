@@ -285,6 +285,7 @@ class GoFlowServer:
                 "full_scans": collection_stats.full_scans,
                 "plan_cache_hits": collection_stats.plan_cache_hits,
                 "plan_cache_misses": collection_stats.plan_cache_misses,
+                "index_folds": collection_stats.index_folds,
             },
             "materialized": self.data.materialized.info(),
             "columnar": self.data.collection.columnar_info(),

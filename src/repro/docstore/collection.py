@@ -17,7 +17,9 @@ granularity: a reader-friendly readers/writer lock lets any number of
 dashboard queries run concurrently while CRUD and index maintenance are
 exclusive; the plan cache and the read-path counters have their own
 small mutex (acquired *after* the RW lock, never before) so concurrent
-readers do not tear the shared LRU.
+readers do not tear the shared LRU. A sorted index orders new keys on
+the first range read — the one mutation a reader makes — under a mutex
+of its own (see :class:`~repro.docstore.index.SortedIndex`).
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ class CollectionStats:
     full_scans: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
+    #: ordered-read folds of the sorted indexes. Each index counts its
+    #: own and ``stats_snapshot`` adds them up; the live field only
+    #: holds what dropped indexes had counted, so the total never falls.
+    index_folds: int = 0
 
 
 @dataclass
@@ -203,7 +209,10 @@ class Collection:
         """A coherent copy of the counters (no mid-write torn reads)."""
         with self._rw.read():
             with self._mutex:
-                return replace(self.stats)
+                folds = sum(ix.folds for ix in self._sorted_indexes.values())
+                return replace(
+                    self.stats, index_folds=self.stats.index_folds + folds
+                )
 
     # -- durability -----------------------------------------------------------
 
@@ -322,7 +331,9 @@ class Collection:
                 raise IndexError_(f"no index on {path!r}")
             self._log({"op": "drop_index", "path": path})
             self._hash_indexes.pop(path, None)
-            self._sorted_indexes.pop(path, None)
+            dropped = self._sorted_indexes.pop(path, None)
+            if dropped is not None:
+                self.stats.index_folds += dropped.folds
             self._clear_plan_cache()
 
     def _clear_plan_cache(self) -> None:
@@ -633,9 +644,9 @@ class Collection:
             self._log({"op": "drop_docs"})
             self._docs.clear()
             for index in self._hash_indexes.values():
-                index._map.clear()
-            for index in self._sorted_indexes.values():
-                index._partitions.clear()
+                index.clear()
+            for sindex in self._sorted_indexes.values():
+                sindex.clear()
             # drop does not move the write marker, so the mirror cannot
             # detect it via the staleness protocol — invalidate explicitly
             if self._columnar is not None:

@@ -3,8 +3,9 @@
 Two index kinds back the query planner:
 
 - :class:`HashIndex` — equality lookups, optional uniqueness;
-- :class:`SortedIndex` — range scans via binary search over a sorted
-  key list (``bisect``), the stand-in for MongoDB's B-tree.
+- :class:`SortedIndex` — range scans via binary search over a key list
+  sorted lazily on the first read (``bisect``), the stand-in for
+  MongoDB's B-tree.
 
 Indexes map a field path to sets of document ids. Documents whose
 indexed field is missing are not indexed (sparse behaviour); the planner
@@ -17,6 +18,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro import concurrency
 from repro.docstore.errors import DuplicateKeyError, IndexError_
 from repro.docstore.query import get_path, is_missing
 
@@ -135,6 +137,10 @@ class HashIndex:
                 if not bucket:
                     del self._map[key]
 
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._map.clear()
+
     def lookup(self, value: Any) -> Set[Any]:
         """Document ids whose field equals ``value``."""
         try:
@@ -146,12 +152,38 @@ class HashIndex:
         return sum(len(bucket) for bucket in self._map.values())
 
 
-class SortedIndex:
-    """Range index over orderable keys.
+class _Partition:
+    """One key type's id buckets, plus the order of their keys.
 
-    Keys of mixed incomparable types are segregated per type name so the
-    sort never raises; range queries only consult the partition matching
-    the bound's type.
+    Every key of ``buckets`` sits exactly once in ``keys`` (sorted) or
+    ``pending`` (first seen since the last ordered read). A bucket
+    emptied by a delete stays, flagged by ``dead``, until the next fold.
+    """
+
+    __slots__ = ("buckets", "keys", "pending", "dead")
+
+    def __init__(self) -> None:
+        self.buckets: Dict[Any, Set[Any]] = {}
+        self.keys: List[Any] = []
+        self.pending: List[Any] = []
+        self.dead = False
+
+
+class SortedIndex:
+    """Range index over orderable keys, ordered on the first read.
+
+    Built for late, out-of-order arrival (the paper's Fig. 17): an
+    insert is one dict probe per key whatever the corpus size, and the
+    first ``range`` / ``lookup`` after a write folds the unseen keys
+    into the sorted key list in one two-run merge. Keys of incomparable
+    types are segregated per type name so the sort never raises; a range
+    query only consults the partition matching the bound's type.
+
+    Writes need the owner's exclusive lock; reads may share one. The
+    fold is their only mutation, double-checked under ``_fold_lock``:
+    ``keys`` changes only while ``pending`` is non-empty — when no
+    reader may use it without that lock — and the single store
+    ``pending = []`` publishes it.
     """
 
     def __init__(self, path: str) -> None:
@@ -159,18 +191,18 @@ class SortedIndex:
             raise IndexError_("index path must be non-empty")
         self.path = path
         self._simple = "." not in path
-        # type name -> (sorted key list, parallel list of id-sets)
-        self._partitions: Dict[str, Tuple[List[Any], List[Set[Any]]]] = {}
+        self._fold_lock = concurrency.make_rlock()
+        #: ordered-read folds performed, over the index's lifetime
+        self.folds = 0
+        self.clear()
 
     @staticmethod
     def _partition_name(value: Any) -> Optional[str]:
-        if isinstance(value, bool) or value is None:
-            return None  # not range-indexable
+        if isinstance(value, bool) or value != value:
+            return None  # not range-indexable; no range predicate matches NaN
         if isinstance(value, (int, float)):
             return "number"
-        if isinstance(value, str):
-            return "str"
-        return None
+        return "str" if isinstance(value, str) else None
 
     def insert(self, doc_id: Any, document: Dict[str, Any]) -> None:
         """Index ``document`` under ``doc_id``."""
@@ -178,87 +210,36 @@ class SortedIndex:
             partition_name = self._partition_name(key)
             if partition_name is None:
                 continue
-            keys, buckets = self._partitions.setdefault(partition_name, ([], []))
-            pos = bisect.bisect_left(keys, key)
-            if pos < len(keys) and keys[pos] == key:
-                buckets[pos].add(doc_id)
+            partition = self._partitions[partition_name]
+            bucket = partition.buckets.get(key)
+            if bucket is None:
+                partition.buckets[key] = {doc_id}
+                partition.pending.append(key)
             else:
-                keys.insert(pos, key)
-                buckets.insert(pos, {doc_id})
+                bucket.add(doc_id)
 
     def insert_many(self, entries: List[Tuple[Any, Dict[str, Any]]]) -> None:
-        """Bulk-load ``(doc_id, document)`` pairs.
-
-        Stages the batch's keys per partition, sorts them once, and
-        merges with the existing key list in a single pass — O((n+m)
-        log m) per batch instead of m one-at-a-time list inserts of
-        O(n) each. Equivalent to calling :meth:`insert` per entry.
-        """
-        staged: Dict[str, Dict[Any, Set[Any]]] = {}
+        """Bulk-load ``(doc_id, document)`` pairs: :meth:`insert` per
+        entry, with a dot-free path holding a number inlined."""
+        if not self._simple:
+            for doc_id, document in entries:
+                self.insert(doc_id, document)
+            return
         path = self.path
-        simple = self._simple
+        number = self._partitions["number"]
+        buckets, pending = number.buckets, number.pending
         for doc_id, document in entries:
-            if simple:
-                value = document.get(path, _ABSENT)
-                if value is _ABSENT:
-                    continue
-                cls = value.__class__
-                if cls is float or cls is int:
-                    staged.setdefault("number", {}).setdefault(value, set()).add(
-                        doc_id
-                    )
-                    continue
-                if cls is str:
-                    staged.setdefault("str", {}).setdefault(value, set()).add(
-                        doc_id
-                    )
-                    continue
-            for key in _index_keys(document, path, simple):
-                partition_name = self._partition_name(key)
-                if partition_name is None:
-                    continue
-                staged.setdefault(partition_name, {}).setdefault(key, set()).add(
-                    doc_id
-                )
-        for partition_name, additions in staged.items():
-            keys, buckets = self._partitions.setdefault(partition_name, ([], []))
-            new_keys = sorted(additions)
-            if not keys:
-                keys.extend(new_keys)
-                buckets.extend(additions[key] for key in new_keys)
-                continue
-            if len(new_keys) * 8 < len(keys):
-                # small batch against a large partition: the one-pass
-                # merge would copy the whole key list; per-key bisect
-                # inserts (C-level list memmove) are cheaper.
-                for key in new_keys:
-                    pos = bisect.bisect_left(keys, key)
-                    if pos < len(keys) and keys[pos] == key:
-                        buckets[pos] |= additions[key]
-                    else:
-                        keys.insert(pos, key)
-                        buckets.insert(pos, set(additions[key]))
-                continue
-            merged_keys: List[Any] = []
-            merged_buckets: List[Set[Any]] = []
-            pos = 0
-            for key in new_keys:
-                loc = bisect.bisect_left(keys, key, pos)
-                merged_keys.extend(keys[pos:loc])
-                merged_buckets.extend(buckets[pos:loc])
-                if loc < len(keys) and keys[loc] == key:
-                    buckets[loc] |= additions[key]
-                    merged_keys.append(keys[loc])
-                    merged_buckets.append(buckets[loc])
-                    pos = loc + 1
+            value = document.get(path)
+            cls = value.__class__
+            if cls is int or (cls is float and value == value):
+                bucket = buckets.get(value)
+                if bucket is None:
+                    buckets[value] = {doc_id}
+                    pending.append(value)
                 else:
-                    merged_keys.append(key)
-                    merged_buckets.append(additions[key])
-                    pos = loc
-            merged_keys.extend(keys[pos:])
-            merged_buckets.extend(buckets[pos:])
-            keys[:] = merged_keys
-            buckets[:] = merged_buckets
+                    bucket.add(doc_id)
+            elif value is not None:
+                self.insert(doc_id, document)
 
     def remove(self, doc_id: Any, document: Dict[str, Any]) -> None:
         """Drop ``document``'s entries."""
@@ -266,16 +247,36 @@ class SortedIndex:
             partition_name = self._partition_name(key)
             if partition_name is None:
                 continue
-            partition = self._partitions.get(partition_name)
-            if partition is None:
-                continue
-            keys, buckets = partition
-            pos = bisect.bisect_left(keys, key)
-            if pos < len(keys) and keys[pos] == key:
-                buckets[pos].discard(doc_id)
-                if not buckets[pos]:
-                    del keys[pos]
-                    del buckets[pos]
+            partition = self._partitions[partition_name]
+            bucket = partition.buckets.get(key)
+            if bucket:
+                bucket.discard(doc_id)
+                if not bucket:
+                    partition.dead = True
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        self._partitions = {"number": _Partition(), "str": _Partition()}
+
+    def _ordered_keys(self, partition: _Partition) -> List[Any]:
+        """``partition``'s sorted key list, ``pending`` folded in first."""
+        if partition.pending:
+            with self._fold_lock:
+                pending = partition.pending
+                if pending:
+                    pending.sort()
+                    keys = partition.keys
+                    keys.extend(pending)
+                    keys.sort()  # two sorted runs: one merge, or nothing
+                    if partition.dead:
+                        buckets = partition.buckets
+                        for key in [key for key in keys if not buckets[key]]:
+                            del buckets[key]
+                        keys[:] = [key for key in keys if key in buckets]
+                        partition.dead = False
+                    self.folds += 1
+                    partition.pending = []
+        return partition.keys
 
     def range(
         self,
@@ -286,19 +287,13 @@ class SortedIndex:
     ) -> Set[Any]:
         """Document ids with indexed key in the given range."""
         bound = low if low is not None else high
-        if bound is None:
-            result: Set[Any] = set()
-            for keys, buckets in self._partitions.values():
-                for bucket in buckets:
-                    result |= bucket
-            return result
+        if bound is None:  # everything: each partition from its least key up
+            return self.range(low=float("-inf")) | self.range(low="")
         partition_name = self._partition_name(bound)
         if partition_name is None:
             return set()
-        partition = self._partitions.get(partition_name)
-        if partition is None:
-            return set()
-        keys, buckets = partition
+        partition = self._partitions[partition_name]
+        keys = self._ordered_keys(partition)
         start = 0
         if low is not None:
             start = (
@@ -313,10 +308,7 @@ class SortedIndex:
                 if high_inclusive
                 else bisect.bisect_left(keys, high)
             )
-        result = set()
-        for pos in range(start, end):
-            result |= buckets[pos]
-        return result
+        return set().union(*map(partition.buckets.__getitem__, keys[start:end]))
 
     def lookup(self, value: Any) -> Set[Any]:
         """Document ids whose field equals ``value``."""
@@ -325,6 +317,6 @@ class SortedIndex:
     def __len__(self) -> int:
         return sum(
             len(bucket)
-            for keys, buckets in self._partitions.values()
-            for bucket in buckets
+            for partition in self._partitions.values()
+            for bucket in partition.buckets.values()
         )

@@ -282,6 +282,7 @@ class ShardedObservations:
             total.full_scans += snap.full_scans
             total.plan_cache_hits += snap.plan_cache_hits
             total.plan_cache_misses += snap.plan_cache_misses
+            total.index_folds += snap.index_folds
         return total
 
     def find(self, filter_doc: Optional[Dict[str, Any]] = None) -> Cursor:

@@ -8,7 +8,9 @@ protection is exercised deterministically:
 - the torn ``middleware_stats`` read (ledger moves between counter
   reads);
 - the stale materialized view (a write lands between the rebuild's
-  marker read and its document snapshot).
+  marker read and its document snapshot);
+- the sorted index's read-time fold (two readers sharing the read lock
+  both order the keys a write left pending).
 
 Each scenario runs twice: with real locks the victim thread is held
 out of the window (rendezvous times out, behaviour stays correct), and
@@ -16,6 +18,8 @@ under ``lock_mode("off")`` both threads meet inside the window and the
 bug fires on cue — proving the test would catch a regression.
 """
 
+import random
+import sys
 import threading
 
 import pytest
@@ -208,6 +212,120 @@ class TestStaleMaterializedViewRace:
         assert stored == 2
         assert total == 3  # the racing insert was folded twice
         assert fresh  # and the view cannot even tell it is wrong
+
+
+class TestSortedIndexFoldRace:
+    """Two first readers after a write must fold ``pending`` once.
+
+    ``SortedIndex`` orders new keys on the first range read, and reads
+    only share ``Collection``'s lock — so the fold has its own mutex.
+    It is *not* a single publish: ``keys`` is extended and sorted in
+    place before ``pending = []`` publishes it, which is safe only
+    because the mutex keeps every other reader off ``keys`` meanwhile.
+    The rendezvous sits in ``pending.sort()``, the fold's first step.
+    Locked, the second reader waits on the mutex, the barrier times
+    out, and it then finds nothing left to fold. Unlocked, both meet
+    inside the fold, both append the pending keys, and ``keys`` holds
+    every late key twice — invisible in the result (a union of
+    buckets), which is why the key list itself is checked.
+    """
+
+    def _race_once(self):
+        collection = Collection("observations")
+        collection.create_index("taken_at", kind="sorted")
+        collection.insert_many([{"taken_at": float(t)} for t in range(0, 100, 10)])
+        window = {"taken_at": {"$gte": 25.0}}
+        collection.find(window)  # standing corpus ordered
+        late = [55.5, 5.5, 95.5, 25.5, 40.0, 15.5]  # out of order, one known
+        collection.insert_many([{"taken_at": t} for t in late])
+        expected = sorted(
+            d["_id"] for d in collection.iter_documents() if d["taken_at"] >= 25.0
+        )
+
+        barrier = threading.Barrier(2)
+
+        class RendezvousList(list):
+            def sort(self):
+                try:
+                    barrier.wait(timeout=0.5)
+                except threading.BrokenBarrierError:
+                    pass  # the mutex held the other reader out — correct
+                super().sort()
+
+        partition = collection._sorted_indexes["taken_at"]._partitions["number"]
+        partition.pending = RendezvousList(partition.pending)
+        results = []
+
+        def reader():
+            results.append(sorted(d["_id"] for d in collection.find(window)))
+
+        _run_threads(reader, reader)
+        folds = collection.stats_snapshot().index_folds
+        return results, expected, partition.keys, folds
+
+    def test_locked_readers_fold_once(self):
+        results, expected, keys, folds = self._race_once()
+        assert results == [expected, expected]
+        assert keys == sorted(set(keys)) and len(keys) == 15
+        assert folds == 2  # the warm-up read's, then exactly one more
+
+    def test_lock_disabled_readers_both_fold(self):
+        with concurrency.lock_mode("off"):
+            results, expected, keys, folds = self._race_once()
+        assert keys != sorted(set(keys))  # late keys merged twice
+
+    def test_stress_readers_fold_while_writers_keep_arriving(self):
+        """6 readers + 2 writers on 2 cores, switching every 10 µs: every
+        window read equals a scan taken under the same read view, and
+        the key list ends ordered, duplicate-free and complete. Bursts
+        of 400 keys keep a fold long enough that, with the fold mutex
+        removed, released readers meet inside one about every other run."""
+        collection = Collection("observations")
+        collection.create_index("taken_at", kind="sorted")
+        window = {"taken_at": {"$gte": 200.0, "$lt": 700.0}}
+        writers_done = threading.Event()
+        mismatches = []
+
+        def writer(seed):
+            rng = random.Random(seed)
+            for _ in range(15):
+                batch = [{"taken_at": rng.uniform(0.0, 1000.0)} for _ in range(400)]
+                collection.insert_many(batch, copy=False)
+                collection.delete_one({"taken_at": {"$gte": rng.uniform(0.0, 900.0)}})
+
+        def reader():
+            while not writers_done.is_set():
+                with collection.read_locked():
+                    got = sorted(d["_id"] for d in collection.find(window))
+                    want = sorted(
+                        d["_id"]
+                        for d in collection.iter_documents()
+                        if 200.0 <= d["taken_at"] < 700.0
+                    )
+                if got != want:
+                    mismatches.append((got, want))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=reader, daemon=True) for _ in range(6)]
+            for thread in readers:
+                thread.start()
+            _run_threads(lambda: writer(1), lambda: writer(2), timeout=30.0)
+            writers_done.set()
+            for thread in readers:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive(), "reader never finished"
+        finally:
+            writers_done.set()
+            sys.setswitchinterval(interval)
+        assert not mismatches
+        assert len(collection.find(window).to_list()) > 0
+        partition = collection._sorted_indexes["taken_at"]._partitions["number"]
+        assert partition.pending == []
+        assert partition.keys == sorted(set(partition.keys))
+        live = {key for key in partition.keys if partition.buckets[key]}
+        assert live == {d["taken_at"] for d in collection.iter_documents()}
 
 
 class TestRWLockSemantics:

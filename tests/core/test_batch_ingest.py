@@ -183,6 +183,52 @@ class TestRestBatchEndpoint:
         assert second.body == {"accepted": [False] * 5, "ingested": 0, "deduped": 5}
         assert len(server.data.collection) == 5
 
+    @pytest.mark.parametrize("route", ["batch", "per_op"])
+    def test_nan_taken_at_does_not_hide_other_rows(self, route):
+        # json.loads accepts the literal NaN; a NaN key in the sorted
+        # index used to leave it unsorted, and every later window query
+        # bisected garbage: one contributor could hide everyone's rows.
+        import json
+
+        server, credentials = _server()
+        stamps = [3.0, float("nan"), 1.0, 2.0]
+        observations = [dict(_payload(i), taken_at=t) for i, t in enumerate(stamps)]
+        if route == "batch":
+            posted = server.handle(
+                Request(
+                    method="POST",
+                    path=f"/apps/{APP}/observations/batch",
+                    body=json.dumps({"observations": observations}),
+                    token=credentials["token"],
+                )
+            )
+            assert posted.body["ingested"] == 4
+        else:
+            channel = server.broker.connect("phone").channel()
+            for observation in observations:
+                channel.basic_publish(
+                    credentials["exchange"],
+                    "FR75013.NoiseObservation",
+                    dict(observation, app_id=APP),
+                )
+            assert server.ingested == 4
+
+        def window(**params):
+            response = server.handle(
+                Request(
+                    method="GET",
+                    path=f"/apps/{APP}/data",
+                    params=params,
+                    token=credentials["token"],
+                )
+            )
+            assert response.ok
+            return sorted(row["obs_id"] for row in response.body)
+
+        assert window(since="2.5", until="3.5") == ["o0"]
+        assert window(since="0.5") == ["o0", "o2", "o3"]
+        assert len(window()) == 4  # the NaN row is stored, and scans find it
+
 
 class TestRestBatchUplink:
     def test_delivers_and_confirms(self):
@@ -234,6 +280,27 @@ class TestStatsContract:
             assert "model" in section["fields"]
         else:
             assert section["reason"]
+
+    def test_observations_section_counts_index_folds(self):
+        server, credentials = _server()
+        uplink = RestBatchUplink(server, token=credentials["token"])
+        for start in (40, 0, 20):  # late, out-of-order uploads
+            uplink.send([_payload(i) for i in range(start, start + 8)])
+
+        def folds():
+            return server.middleware_stats()["observations"]["index_folds"]
+
+        assert folds() == 0  # writes defer the ordering
+        request = Request(
+            method="GET",
+            path=f"/apps/{APP}/data",
+            params={"since": "5", "until": "25"},
+            token=credentials["token"],
+        )
+        assert len(server.handle(request).body) == 8  # o5..o7, o20..o24
+        assert folds() == 1  # paid once, by the first window read
+        server.handle(request)
+        assert folds() == 1
 
 
 class _RecordingUplink:
