@@ -25,14 +25,6 @@ Two suites are available:
   durable one journaling through the write-ahead log with group commit
   (``after`` → ``REPRO_WAL_MODE=durable``), plus durable-only
   sync-policy and recovery-replay benches.
-- ``sharding``: horizontal scaling — the same live ingest window over
-  a 200k standing corpus routed through 1, 2, 4 and 8 shards, once per
-  shard execution backend (``inproc`` threads and ``process`` worker
-  pools; see ``REPRO_SHARD_BACKENDS``). The ``baseline`` stage runs
-  only the ``shards=1`` in-process reference; the ``after`` stage runs
-  the full backend × shard-count matrix. The post-run summary records
-  ``sharding_scaling``: each leg's live-window speedup over that
-  single-shard baseline, grouped by backend.
 - ``streaming``: live subscription fan-out — the same ingest window
   pushed to 1, 64 and 512 continuous queries, with a foreground
   consumer draining via ack cursors mid-ingest. Each bench records
@@ -45,7 +37,7 @@ Usage::
     python benchmarks/run_bench.py --stage after      # after the change
     python benchmarks/run_bench.py --suite faults --stage after
     python benchmarks/run_bench.py --stage after --from-json raw.json
-    python benchmarks/run_bench.py --suite sharding --profile
+    python benchmarks/run_bench.py --suite batch --profile
 
 ``--from-json`` imports an existing pytest-benchmark JSON file instead
 of running the suite (useful when the raw run was captured separately).
@@ -75,7 +67,6 @@ SUITES = {
     "concurrency": "benchmarks/test_concurrent_ingest.py",
     "batch": "benchmarks/test_batch_ingest.py",
     "wal": "benchmarks/test_wal_ingest.py",
-    "sharding": "benchmarks/test_sharded_ingest.py",
     "streaming": "benchmarks/test_streaming_fanout.py",
 }
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_middleware.json"
@@ -177,64 +168,6 @@ def speedups(stages: dict) -> dict:
     return result
 
 
-def _best(benches: dict, name: str):
-    stats = benches.get(name, {})
-    return stats.get("min") or stats.get("mean")
-
-
-def _single_shard_reference(stages: dict, benches: dict):
-    """The ``shards=1`` in-process live-window time every scaling ratio
-    divides by — the dedicated ``sharding:baseline`` stage when
-    recorded, else the stage's own single-shard leg. The legacy
-    un-backended bench name keeps pre-backend files readable."""
-    for source in (stages.get("sharding:baseline", {}).get("benchmarks", {}), benches):
-        for name in (
-            "test_sharded_ingest_scaling[inproc-1]",
-            "test_sharded_ingest_scaling[1]",
-        ):
-            reference = _best(source, name)
-            if reference:
-                return reference
-    return None
-
-
-def sharding_scaling(stages: dict) -> dict:
-    """Live-window speedup of each backend × shard-count leg over the
-    single-shard baseline.
-
-    Reads the ``sharding:*`` stages; the interesting numbers are the
-    ``process`` backend's ``shards=4``/``shards=8`` entries — the
-    acceptance bar for the worker-pool execution plane.
-    """
-    result = {}
-    for stage, summary in stages.items():
-        if not stage.startswith("sharding:") or stage == "sharding:baseline":
-            continue
-        benches = summary.get("benchmarks", {})
-        single = _single_shard_reference(stages, benches)
-        if not single:
-            continue
-        ratios = {}
-        for backend in ("inproc", "process"):
-            per_backend = {}
-            for shards in (1, 2, 4, 8):
-                fastest = _best(
-                    benches, f"test_sharded_ingest_scaling[{backend}-{shards}]"
-                )
-                if fastest:
-                    per_backend[f"shards={shards}"] = round(single / fastest, 2)
-            if per_backend:
-                ratios[backend] = per_backend
-        # legacy stages recorded before the backend split
-        for shards in (2, 4, 8):
-            fastest = _best(benches, f"test_sharded_ingest_scaling[{shards}]")
-            if fastest:
-                ratios[f"shards={shards}"] = round(single / fastest, 2)
-        if ratios:
-            result[stage] = ratios
-    return result
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--stage", default="after", help="stage label (baseline/after)")
@@ -269,7 +202,6 @@ def main(argv: list[str] | None = None) -> None:
             raise SystemExit(f"no such benchmark JSON: {args.from_json}")
         raw = json.loads(args.from_json.read_text())
     else:
-        keyword = args.keyword
         extra_env = None
         if args.suite == "batch":
             # the stage selects the ingest mode: the baseline stage
@@ -289,15 +221,9 @@ def main(argv: list[str] | None = None) -> None:
                     "memory" if args.stage == "baseline" else "durable"
                 )
             }
-        elif args.suite == "sharding" and args.stage == "baseline":
-            # the baseline stage pins the shards=1 in-process reference
-            # every scaling ratio divides by; the after stage runs the
-            # full backend × shard-count matrix.
-            extra_env = {"REPRO_SHARD_BACKENDS": "inproc"}
-            keyword = keyword or "inproc-1"
         raw = run_suite(
             SUITES[args.suite],
-            keyword,
+            args.keyword,
             extra_env,
             profile=f"{args.suite}-{args.stage}" if args.profile else None,
         )
@@ -318,21 +244,11 @@ def main(argv: list[str] | None = None) -> None:
     ratio = speedups(document["stages"])
     if ratio:
         document["speedup_baseline_over_after"] = ratio
-    scaling = sharding_scaling(document["stages"])
-    if scaling:
-        document["sharding_scaling"] = scaling
     args.output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     print(f"wrote stage {stage!r} to {args.output}")
     for name, factor in sorted(ratio.items()):
         print(f"  {name}: {factor}x")
-    for stage_name, ratios in sorted(scaling.items()):
-        for key, value in sorted(ratios.items()):
-            if isinstance(value, dict):
-                for shards, factor in sorted(value.items()):
-                    print(f"  {stage_name} {key} {shards}: {factor}x vs 1 shard")
-            else:
-                print(f"  {stage_name} {key}: {value}x vs 1 shard")
 
 
 if __name__ == "__main__":

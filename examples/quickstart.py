@@ -150,21 +150,18 @@ def main() -> None:
     # across appends; see docs/ARCHITECTURE.md "Durability & crash
     # recovery" for the record format and the recovery guarantees.
 
-    # -- scale-out (opt-in sharding, opt-in process workers) -----------------------
+    # -- scale-out (opt-in sharding) ------------------------------------------------
     # Pass sharding=N to partition the store over N consistent-hash
-    # shards (same API, scatter-gather reads), and backend="process" to
-    # host each shard in its own worker process behind batched binary
-    # IPC — per-shard CPU work then runs outside this interpreter's
-    # GIL, and a killed worker respawns, recovers its WAL, and keeps
-    # ingest exactly-once:
+    # shards keyed by region — same API, scatter-gather reads, and
+    # exactly-once ingest survives a live add/remove of a shard:
     #
-    #     server = GoFlowServer(sharding=4, backend="process")
+    #     server = GoFlowServer(sharding=4)
     #     server.register_app("SC")
     #     server.data.ingest_many("SC", backlog_documents)
-    #     server.middleware_stats()["sharding"]["workers"]  # pid/rss/queue per worker
-    #     server.router.close()  # drain and reap the workers
+    #     server.middleware_stats()["sharding"]["shards"]  # docs/ingested per shard
+    #     server.router.add_shard()   # re-rings and hands regions over
     #
-    # See docs/ARCHITECTURE.md "Process scale-out & IPC plane".
+    # See docs/ARCHITECTURE.md "Horizontal sharding".
 
 
 if __name__ == "__main__":

@@ -62,27 +62,6 @@ class PrivacyPolicy:
         # interleave); the HMAC itself runs outside the lock.
         self._cache_lock = concurrency.make_rlock()
 
-    def clone(self) -> "PrivacyPolicy":
-        """A fresh, equivalent policy — same deployment secret and
-        granularities, private-field declarations copied as of now.
-
-        Shard worker processes rebuild their policy from this instead
-        of reusing the fork-inherited object: the clone starts with
-        fresh locks and an empty pseudonym memo, so whatever lock or
-        cache state the fork snapshotted cannot leak into the child.
-        Pseudonyms stay identical across processes because they are
-        deterministic in the salt.
-        """
-        twin = PrivacyPolicy(
-            salt=self._salt.decode("utf-8"),
-            coarse_grid_m=self.coarse_grid_m,
-            coarse_time_s=self.coarse_time_s,
-        )
-        twin._private_fields = {
-            app_id: set(fields) for app_id, fields in self._private_fields.items()
-        }
-        return twin
-
     # -- app policies -------------------------------------------------------
 
     def set_private_fields(self, app_id: str, fields: Iterable[str]) -> None:

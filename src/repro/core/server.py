@@ -48,7 +48,6 @@ class GoFlowServer:
         data_dir: Optional[str] = None,
         wal_config: Optional[Any] = None,
         sharding: Optional[Union[int, ShardingConfig]] = None,
-        backend: str = "inproc",
     ) -> None:
         """Args beyond the obvious:
 
@@ -68,12 +67,6 @@ class GoFlowServer:
             the router; accounts, jobs and tokens stay on the server's
             own store. With ``durable`` the shards journal under
             ``data_dir/shards/<name>``.
-        backend: shard execution plane — ``"inproc"`` (default) keeps
-            every shard in this interpreter; ``"process"`` hosts each
-            shard's vertical slice in a long-lived worker process
-            behind batched binary IPC (``GoFlowServer(sharding=N,
-            backend="process")``). Ignored unless ``sharding`` is set;
-            a full :class:`ShardingConfig` carries its own backend.
         """
         self._clock = clock or (lambda: 0.0)
         self.broker = broker or Broker(
@@ -97,7 +90,7 @@ class GoFlowServer:
             config = (
                 sharding
                 if isinstance(sharding, ShardingConfig)
-                else ShardingConfig(shards=sharding, backend=backend)
+                else ShardingConfig(shards=sharding)
             )
             self.router: Optional[ShardRouter] = ShardRouter(
                 self.privacy,

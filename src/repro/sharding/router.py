@@ -33,6 +33,7 @@ surface the server already speaks:
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from contextlib import ExitStack
 from pathlib import Path
@@ -40,6 +41,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro import concurrency
 from repro.broker.broker import Broker
+from repro.broker.exchange import ExchangeType
 from repro.core.datamgmt import (
     DEFAULT_DEDUP_CAPACITY,
     DataManager,
@@ -53,26 +55,32 @@ from repro.docstore.clone import json_clone
 from repro.docstore.collection import AggregationResult, CollectionStats
 from repro.docstore.cursor import Cursor, sort_documents
 from repro.docstore.store import DocumentStore
-from repro.sharding import ipc
 from repro.sharding.merge import fold_is_exact, global_order_key, plan_scatter
 from repro.sharding.region import DEFAULT_CELL_M, region_of
 from repro.sharding.ring import DEFAULT_VNODES, HashRing
-from repro.sharding.workers import (
-    Done,
-    ProcessShard,
-    ShardSpec,
-    build_vertical_slice,
-)
-
-#: router backends: ``inproc`` keeps every shard in this interpreter
-#: (the oracle reference); ``process`` hosts each shard in a worker
-#: process behind the :mod:`repro.sharding.ipc` wire.
-BACKENDS = ("inproc", "process")
 
 #: a shard directory renamed to this suffix is dead: ``remove_shard``
 #: retires it atomically before best-effort deletion, so a crash during
 #: cleanup can never resurrect a half-deleted shard.
 RETIRED_SUFFIX = ".retired"
+
+_SHARD_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
+
+
+def validate_shard_name(name: Any) -> str:
+    """A shard name becomes a directory under ``data_dir`` and can
+    arrive from the admin REST surface: one flat path component, never
+    one ``_discover_names`` would skip as retired."""
+    if (
+        not isinstance(name, str)
+        or _SHARD_NAME.fullmatch(name) is None
+        or name.endswith(RETIRED_SUFFIX)
+    ):
+        raise ValidationError(
+            f"invalid shard name {name!r}: expected letters, digits, '_' or '-', "
+            "starting with a letter or digit"
+        )
+    return name
 
 
 class ShardingConfig:
@@ -83,10 +91,6 @@ class ShardingConfig:
         vnodes: virtual nodes per shard on the hash ring.
         cell_m: grid cell size of the region routing key.
         dedup_capacity: per-shard dedup ledger bound.
-        backend: ``"inproc"`` (default, the oracle reference) or
-            ``"process"`` — one worker process per shard.
-        ipc_chunk: documents per ``ingest_many`` wire frame
-            (process backend only).
     """
 
     def __init__(
@@ -95,21 +99,13 @@ class ShardingConfig:
         vnodes: int = DEFAULT_VNODES,
         cell_m: float = DEFAULT_CELL_M,
         dedup_capacity: int = DEFAULT_DEDUP_CAPACITY,
-        backend: str = "inproc",
-        ipc_chunk: int = ipc.DEFAULT_CHUNK_DOCS,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown sharding backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if ipc_chunk < 1:
-            raise ValidationError("ipc_chunk must be >= 1")
         if isinstance(shards, int):
             if shards < 1:
                 raise ValidationError("shard count must be >= 1")
             self.names = [f"shard-{i:02d}" for i in range(shards)]
         else:
-            self.names = list(shards)
+            self.names = [validate_shard_name(name) for name in shards]
             if not self.names:
                 raise ValidationError("at least one shard name required")
             if len(set(self.names)) != len(self.names):
@@ -117,8 +113,6 @@ class ShardingConfig:
         self.vnodes = vnodes
         self.cell_m = cell_m
         self.dedup_capacity = dedup_capacity
-        self.backend = backend
-        self.ipc_chunk = ipc_chunk
 
 
 class Shard:
@@ -139,6 +133,7 @@ class Shard:
         #: bound-queue count; publish is skipped while zero
         self.subscriptions = 0
         self._channel = None
+        broker.declare_exchange(self.exchange, ExchangeType.TOPIC)
 
     @property
     def collection(self):
@@ -164,7 +159,7 @@ class Shard:
             },
         )
 
-    # -- backend seam (mirrored by workers.ProcessShard) ------------------
+    # -- router seam (bench/trace.py times these three by name) -----------
 
     def submit_ingest_many(
         self,
@@ -172,10 +167,10 @@ class Shard:
         documents: List[Dict[str, Any]],
         owned: bool,
         region_for: Optional[Callable[[Dict[str, Any]], str]] = None,
-    ) -> Done:
-        """Apply a sub-batch now (in-process backends have no wire to
-        overlap); counters and notifications ride the same ingest-lock
-        acquisition as the ledger, keeping stats snapshots coherent."""
+    ) -> List[Optional[Any]]:
+        """Apply a sub-batch; counters and notifications ride the same
+        ingest-lock acquisition as the ledger, keeping stats snapshots
+        coherent."""
         with self.data.ingest_lock:
             ids = self.data.ingest_many(app_id, documents, owned=owned)
             stored = sum(1 for doc_id in ids if doc_id is not None)
@@ -185,29 +180,16 @@ class Shard:
                 for doc, doc_id in zip(documents, ids):
                     if doc_id is not None:
                         self.notify(region_for(doc), app_id, doc, doc_id)
-        return Done(ids)
+        return ids
 
-    def submit_partial_fold(self, pipeline: List[Dict[str, Any]], plan: Any) -> Done:
+    def submit_partial_fold(self, plan: Any) -> Tuple[Any, List[Dict[str, Any]]]:
         documents = self.collection.iter_documents()
-        partial = plan.partial_fold(documents)
         # the gathered snapshot rides along so an inexact fold can fall
         # back to the central path without re-reading the shard
-        return Done((partial, len(documents), documents))
+        return plan.partial_fold(documents), documents
 
-    def submit_documents(self) -> Done:
-        return Done(self.collection.iter_documents())
-
-    def submit(self, command: str, *args: Any) -> Done:
-        if command == "reliability":
-            with self.data.ingest_lock:
-                return Done(
-                    {
-                        "ingested": self.ingested,
-                        "deduped": self.deduped,
-                        "dedup_info": self.data.dedup_info(),
-                    }
-                )
-        raise ValidationError(f"unknown inproc submit command {command!r}")
+    def submit_documents(self) -> List[Dict[str, Any]]:
+        return self.collection.iter_documents()
 
     def max_int_id(self) -> int:
         top = 0
@@ -460,7 +442,6 @@ class ShardRouter:
         self._config = config or ShardingConfig()
         self._cell_m = self._config.cell_m
         self._dedup_capacity = self._config.dedup_capacity
-        self._backend = self._config.backend
         self._durable = durable
         self._wal_config = wal_config
         if durable:
@@ -522,31 +503,34 @@ class ShardRouter:
                 return found
         return list(self._config.names)
 
-    def _build_shard(self, name: str) -> Union[Shard, ProcessShard]:
+    def _build_shard(self, name: str) -> Shard:
+        """One shard's full stack, durable recovery included."""
         if self._data_dir is not None:
-            # the directory is the durable topology record: create it
-            # in the coordinator *before* any worker fork, so a crash
-            # between spawn and the worker's first write still recovers
-            # the new topology.
-            (self._data_dir / name).mkdir(parents=True, exist_ok=True)
-        spec = ShardSpec(
-            name=name,
-            cell_m=self._cell_m,
-            dedup_capacity=self._dedup_capacity,
-            data_dir=str(self._data_dir / name) if self._data_dir is not None else None,
-            wal_config=self._wal_config,
-            clock=self._clock,
-            privacy_source=self._privacy,
-        )
-        if self._backend == "process":
-            return ProcessShard(
-                spec,
-                self._privacy,
-                codec=ipc.default_codec(),
-                ipc_chunk=self._config.ipc_chunk,
+            # the directory is the durable topology record
+            shard_dir = self._data_dir / name
+            shard_dir.mkdir(parents=True, exist_ok=True)
+            store = DocumentStore.recover(
+                shard_dir,
+                name=f"shard:{name}",
+                clock=self._clock,
+                config=self._wal_config,
             )
-        store, broker, data = build_vertical_slice(spec, self._privacy)
-        return Shard(name, store, broker, data)
+        else:
+            store = DocumentStore(name=f"shard:{name}", clock=self._clock)
+        # bind the value, not ``self.region_for``: no shard → router cycle
+        cell_m = self._cell_m
+        data = DataManager(
+            store,
+            self._privacy,
+            dedup_capacity=self._dedup_capacity,
+            region_fn=lambda doc: region_of(doc, cell_m),
+        )
+        if self._data_dir is not None:
+            state = store.recovered_state
+            data.restore_ledger(
+                state.get("dedup_ledger", []), state.get("dedup_regions")
+            )
+        return Shard(name, store, Broker(clock=self._clock), data)
 
     def _advance_id_past_existing(self) -> None:
         top = 0
@@ -606,7 +590,7 @@ class ShardRouter:
                 shard.subscriptions += 1
             return shard.broker
 
-    def _shard(self, name: str) -> Union[Shard, ProcessShard]:
+    def _shard(self, name: str) -> Shard:
         shard = self._shards.get(name)
         if shard is None:
             raise ValidationError(f"unknown shard {name!r}")
@@ -624,15 +608,14 @@ class ShardRouter:
         every batch's stored documents are merged into **global ``_id``
         order** before the listener runs, so one ``ingest``/
         ``ingest_many`` call delivers one ``_id``-ordered stream no
-        matter how many shards (or worker processes) stored the pieces.
+        matter how many shards stored the pieces.
         The guarantee is **per call**: the listener fires outside the
         shard ingest locks, so two concurrent ingest calls may deliver
         their (individually ordered) batches in either order —
         downstream consumers that need a total order must impose it
-        themselves. The listener receives the coordinator-held wire
-        forms — the event projection is ingest-stable, so wire vs
-        stored makes no difference, and the process backend needs no
-        extra IPC for it.
+        themselves. The listener receives the router-held wire forms —
+        the event projection is ingest-stable, so wire vs stored makes
+        no difference.
         """
         self._delta_listener = listener
 
@@ -680,12 +663,6 @@ class ShardRouter:
         A batch whose documents all route to one shard takes the
         single-shard fast path: one sub-batch, one ingest-lock
         acquisition, exactly like the unsharded batch path.
-
-        Sub-batches go through the backend's ``submit_ingest_many``
-        seam: the in-process backend applies each synchronously, while
-        the process backend pipelines every shard's chunks onto its
-        worker's wire *before* gathering any result, so N workers chew
-        their sub-batches concurrently.
         """
         for document in documents:
             if not isinstance(document, dict):
@@ -714,20 +691,11 @@ class ShardRouter:
                 elif buckets:
                     self._split_batches += 1
             results: List[Optional[Any]] = [None] * len(docs)
-            pendings = []
             for name in sorted(buckets):
-                shard = self._shard(name)
                 sub, slots = buckets[name]
-                pendings.append(
-                    (
-                        slots,
-                        shard.submit_ingest_many(
-                            app_id, sub, owned, region_for=self.region_for
-                        ),
-                    )
+                ids = self._shard(name).submit_ingest_many(
+                    app_id, sub, owned, region_for=self.region_for
                 )
-            for slots, pending in pendings:
-                ids = pending.result()
                 for slot, doc_id in zip(slots, ids):
                     results[slot] = doc_id
             if self._delta_listener is not None:
@@ -750,60 +718,34 @@ class ShardRouter:
         """Scatter ``pipeline`` across shards and merge on the
         coordinator — partial accumulator folds when the pipeline is
         fold-mergeable, central gather (in global ``_id`` order)
-        otherwise.
-
-        Fold requests fan out through ``submit_partial_fold`` before
-        any result is awaited: process-backed shards fold their corpora
-        concurrently while the in-process backend degenerates to the
-        sequential loop it always ran."""
+        otherwise."""
         with self._topology.read():
-            shards = [self._shards[name] for name in sorted(self._shards)]
             plan = plan_scatter(pipeline)
             detail: Dict[str, Dict[str, Any]] = {}
             rows: Optional[List[Dict[str, Any]]] = None
             merge_kind = "central"
             per_shard_docs: List[List[Dict[str, Any]]] = []
-            if plan is not None:
-                folds = [
-                    (shard, shard.submit_partial_fold(pipeline, plan))
-                    for shard in shards
-                ]
-                partials = []
-                fold_failed = False
-                for shard, pending in folds:
-                    outcome = pending.result()
-                    if outcome is None:
-                        # the fold states could not cross the worker
-                        # wire (JSON-only codec): gather centrally
-                        fold_failed = True
-                        continue
-                    partial, ndocs, documents = outcome
-                    if documents is not None:
-                        per_shard_docs.append(documents)
+            partials = []
+            for name in sorted(self._shards):
+                shard = self._shards[name]
+                if plan is None:
+                    documents = shard.submit_documents()
+                    detail[name] = {"documents": len(documents)}
+                else:
+                    partial, documents = shard.submit_partial_fold(plan)
                     partials.append(partial)
-                    detail[shard.name] = {
-                        "documents": ndocs,
+                    detail[name] = {
+                        "documents": len(documents),
                         "groups": len(partial),
                     }
-                if not fold_failed and fold_is_exact(partials):
-                    rows = plan.merge(partials)
-                    merge_kind = "partial_folds"
-                # a float fed a $sum/$avg: the merged total would not be
-                # bit-identical to the sequential one — gather instead
+                per_shard_docs.append(documents)
+            if plan is not None and fold_is_exact(partials):
+                rows = plan.merge(partials)
+                merge_kind = "partial_folds"
+            # a float fed a $sum/$avg: the merged total would not be
+            # bit-identical to the sequential one — gather instead
             if rows is None:
-                gathered: List[Dict[str, Any]] = []
-                if len(per_shard_docs) == len(shards):
-                    for documents in per_shard_docs:
-                        gathered.extend(documents)
-                else:
-                    detail = {}
-                    doc_pendings = [
-                        (shard, shard.submit_documents()) for shard in shards
-                    ]
-                    for shard, pending in doc_pendings:
-                        documents = pending.result()
-                        gathered.extend(documents)
-                        detail[shard.name] = {"documents": len(documents)}
+                gathered = [doc for documents in per_shard_docs for doc in documents]
                 gathered.sort(key=global_order_key)
                 rows = compile_pipeline(pipeline).run(gathered)
         with self._state_lock:
@@ -880,32 +822,9 @@ class ShardRouter:
 
     def reliability_snapshot(self) -> Dict[str, Any]:
         """Ingest/dedup totals with every shard's ingest lock held, so
-        the merged counters are as coherent as one shard's would be.
-
-        Process backend: each worker snapshots its own counters under
-        its own ingest lock (per-shard coherence) and the pipelined
-        responses merge here — a cross-process all-locks hold would
-        mean stalling every worker for a stats read."""
+        the merged counters are as coherent as one shard's would be."""
         with self._topology.read():
             shards = [self._shards[name] for name in sorted(self._shards)]
-            if self._backend == "process":
-                pendings = [shard.submit("reliability") for shard in shards]
-                ingested = deduped = size = hits = 0
-                for pending in pendings:
-                    snap = pending.result()
-                    ingested += snap["ingested"]
-                    deduped += snap["deduped"]
-                    size += snap["dedup_info"]["size"]
-                    hits += snap["dedup_info"]["hits"]
-                return {
-                    "ingested": ingested,
-                    "deduped": deduped,
-                    "dedup_ledger": {
-                        "size": size,
-                        "capacity": self._dedup_capacity,
-                        "hits": hits,
-                    },
-                }
             with ExitStack() as stack:
                 for shard in shards:
                     stack.enter_context(shard.data.ingest_lock)
@@ -935,41 +854,22 @@ class ShardRouter:
         return sum(shard.deduped for shard in self._shards_snapshot())
 
     def sharding_stats(self) -> Dict[str, Any]:
-        workers: Optional[Dict[str, Any]] = None
         with self._topology.read():
-            names = sorted(self._shards)
             per_shard: Dict[str, Any] = {}
-            if self._backend == "process":
-                pendings = [(name, self._shards[name].submit("stats")) for name in names]
-                for name, pending in pendings:
-                    shard = self._shards[name]
-                    snap = pending.result()
+            for name in sorted(self._shards):
+                shard = self._shards[name]
+                with shard.data.ingest_lock:
                     per_shard[name] = {
-                        "documents": snap["documents"],
-                        "ingested": snap["ingested"],
-                        "deduped": snap["deduped"],
-                        "ledger": snap["ledger"],
+                        "documents": len(shard.collection),
+                        "ingested": shard.ingested,
+                        "deduped": shard.deduped,
+                        "ledger": shard.data.dedup_info()["size"],
                         "subscriptions": shard.subscriptions,
                     }
-                workers = {
-                    name: self._shards[name].worker_info() for name in names
-                }
-            else:
-                for name in names:
-                    shard = self._shards[name]
-                    with shard.data.ingest_lock:
-                        per_shard[name] = {
-                            "documents": len(shard.collection),
-                            "ingested": shard.ingested,
-                            "deduped": shard.deduped,
-                            "ledger": shard.data.dedup_info()["size"],
-                            "subscriptions": shard.subscriptions,
-                        }
             ring = {"nodes": self._ring.nodes, "vnodes": self._ring.vnodes}
         with self._state_lock:
-            stats = {
+            return {
                 "enabled": True,
-                "backend": self._backend,
                 "shards": per_shard,
                 "ring": ring,
                 "router": {
@@ -984,9 +884,6 @@ class ShardRouter:
                     "repaired": self._repaired,
                 },
             }
-            if workers is not None:
-                stats["workers"] = workers
-            return stats
 
     # -- rebalancing ----------------------------------------------------------
 
@@ -1003,7 +900,8 @@ class ShardRouter:
                 while f"shard-{index:02d}" in self._shards:
                     index += 1
                 name = f"shard-{index:02d}"
-            if name in self._shards or name.endswith(RETIRED_SUFFIX):
+            validate_shard_name(name)
+            if name in self._shards:
                 raise ValidationError(f"shard name unavailable: {name!r}")
             shard = self._build_shard(name)
             self._shards[name] = shard

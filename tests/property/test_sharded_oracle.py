@@ -167,69 +167,3 @@ class TestShardedAggregateOracle:
             == unsharded.data.collection.iter_documents()
         )
 
-
-class TestProcessBackendOracle:
-    """``backend="process"`` ≡ ``backend="inproc"`` ≡ unsharded.
-
-    The worker-pool plane must be *invisible* to every read: same rows,
-    same order, same explain strategy and merge kind. Example counts
-    are lower than the in-process legs because each example forks a
-    worker fleet.
-    """
-
-    @settings(max_examples=10, deadline=None)
-    @given(DOCUMENTS, PIPELINES, st.sampled_from([2, 3]))
-    def test_three_way_row_exact(self, docs, pipeline, shards):
-        procd = GoFlowServer(sharding=shards, backend="process")
-        procd.register_app(APP)
-        try:
-            sharded, unsharded, wire = _servers(docs, shards)
-            procd.data.ingest_many(APP, [dict(doc) for doc in wire])
-
-            proc_agg = procd.data.collection.aggregate(pipeline)
-            inproc_agg = sharded.data.collection.aggregate(pipeline)
-            assert list(proc_agg) == list(inproc_agg)
-            assert list(proc_agg) == list(
-                unsharded.data.collection.aggregate(pipeline)
-            )
-            # explain parity: same strategy, same merge kind, same fleet
-            assert proc_agg.explain["strategy"] == "scattered"
-            assert proc_agg.explain["merge"] == inproc_agg.explain["merge"]
-            assert set(proc_agg.explain["shards"]) == set(
-                inproc_agg.explain["shards"]
-            )
-
-            assert (
-                procd.data.collection.find(None).to_list()
-                == unsharded.data.collection.find(None).to_list()
-            )
-            assert procd.data.collection.distinct(
-                "k"
-            ) == unsharded.data.collection.distinct("k")
-            query = DataQuery(app_id=APP)
-            assert procd.data.retrieve(query, limit=7) == unsharded.data.retrieve(
-                query, limit=7
-            )
-            assert procd.data.count(query) == unsharded.data.count(query)
-        finally:
-            procd.router.close()
-
-    @settings(max_examples=8, deadline=None)
-    @given(DOCUMENTS, st.sampled_from([2, 3]))
-    def test_dedup_and_documents_parity(self, docs, shards):
-        procd = GoFlowServer(sharding=shards, backend="process")
-        procd.register_app(APP)
-        try:
-            unsharded = GoFlowServer()
-            unsharded.register_app(APP)
-            wire = _wire_documents(docs)
-            procd.data.ingest_many(APP, [dict(doc) for doc in wire])
-            unsharded.data.ingest_many(APP, [dict(doc) for doc in wire])
-            retransmit = procd.data.ingest_many(APP, [dict(d) for d in wire])
-            assert retransmit == [None] * len(wire)
-            assert (
-                procd.data.collection.iter_documents()
-                == unsharded.data.collection.iter_documents()
-            )
-        finally:
-            procd.router.close()

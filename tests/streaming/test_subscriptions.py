@@ -220,9 +220,8 @@ class TestFilters:
 
 
 class TestShardedParity:
-    @pytest.mark.parametrize("backend", ["inproc"])
-    def test_sharded_stream_matches_poll(self, backend):
-        server = make_server(sharding=4, backend=backend)
+    def test_sharded_stream_matches_poll(self):
+        server = make_server(sharding=4)
         sub = server.streaming.subscribe(tiles=True)
         documents = [doc(i, x_m=300.0 * i, y_m=200.0 * (i % 3)) for i in range(12)]
         ingest(server, documents)
