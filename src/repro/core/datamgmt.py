@@ -73,7 +73,29 @@ class DataQuery:
         return conditions
 
 
-class DataManager:
+class Packaging:
+    """Figure 2's packaging solutions over any ``retrieve`` — shared by
+    :class:`DataManager` and the shard router, which differ only in how
+    they find the documents."""
+
+    def as_json_stream(self, query: DataQuery) -> Iterator[str]:
+        """The matching documents as a stream of JSON lines."""
+        for document in self.retrieve(query):
+            document.pop("_id", None)
+            yield json.dumps(document, sort_keys=True)
+
+    def as_file(self, query: DataQuery) -> str:
+        """The matching documents packaged as one JSON-lines string."""
+        return "\n".join(self.as_json_stream(query))
+
+    def as_open_data(self, app_id: str, query: DataQuery) -> List[Dict[str, Any]]:
+        """Open-data export: privacy-coarsened documents."""
+        return [
+            self._privacy.for_open_data(app_id, doc) for doc in self.retrieve(query)
+        ]
+
+
+class DataManager(Packaging):
     """Stores and retrieves crowd-sensed observations.
 
     Args:
@@ -138,6 +160,10 @@ class DataManager:
         # and move a region's ledger entries.
         self._dedup_ledger: "OrderedDict[str, Any]" = OrderedDict()
         self._region_fn = region_fn
+        #: observations stored / collapsed by the ledger since start,
+        #: whoever called; both move inside ``ingest_many`` under
+        #: ``ingest_lock``, so they can never drift from the ledger.
+        self.ingested = 0
         self.dedup_hits = 0
         # ingest listeners receive every *stored* observation as
         # ``(document, stored_id)`` pairs, called after the insert and
@@ -149,9 +175,7 @@ class DataManager:
             Callable[[str, List[Tuple[Dict[str, Any], Any]]], None]
         ] = []
         #: public, re-entrant: serializes the whole dedup-check → insert
-        #: → observe → ledger-commit sequence. The server wraps its own
-        #: delivery counters in the same lock so reliability accounting
-        #: can never drift from the ledger mid-ingest.
+        #: → observe → ledger-commit → count → notify sequence.
         self.ingest_lock = concurrency.make_rlock()
 
     @property
@@ -174,77 +198,26 @@ class DataManager:
     # -- ingest --------------------------------------------------------------
 
     def ingest(self, app_id: str, document: Dict[str, Any]) -> Any:
-        """Persist one observation document; returns its stored id.
-
-        Applies pseudonymization before the document touches disk.
-
-        Ingest is **idempotent** over ``obs_id``: the uplink is
-        at-least-once (retries after unconfirmed publishes, broker
-        redeliveries), so clients stamp each observation with a stable
-        ``obs_id`` and a redelivered document is recognized against the
-        bounded ledger and skipped — returning None instead of an id.
-        Documents without an ``obs_id`` (legacy producers, feedback
-        blobs) are stored unconditionally.
-        """
-        if not isinstance(document, dict):
-            raise ValidationError(
-                f"observation must be a dict, got {type(document).__name__}"
-            )
-        # the whole check → insert → observe → commit sequence runs
-        # under one lock: two threads redelivering the same obs_id must
-        # resolve to exactly one stored document, never a double insert
-        # from both missing the ledger at once.
-        with self.ingest_lock:
-            ledger_key: Optional[str] = None
-            ledger_value: Any = True
-            obs_id = document.get("obs_id")
-            if obs_id is not None and self._dedup_capacity:
-                ledger_key = str(obs_id)
-                if ledger_key in self._dedup_ledger:
-                    self._dedup_ledger.move_to_end(ledger_key)
-                    self.dedup_hits += 1
-                    return None
-                if self._region_fn is not None:
-                    ledger_value = self._region_fn(document)
-            stored = self._privacy.anonymize_ingest(document)
-            stored["app_id"] = app_id
-            # anonymize_ingest already produced a private copy; let the
-            # collection take ownership rather than cloning a second time.
-            # The wire-form ledger key travels inside the insert's WAL
-            # record: recovery re-learns it if and only if the insert
-            # itself survived, keeping exactly-once across a kill -9.
-            wal_meta = None
-            if ledger_key is not None:
-                wal_meta = {"ledger": [ledger_key]}
-                if self._region_fn is not None:
-                    wal_meta["regions"] = [ledger_value]
-            result = self._observations.insert_one(
-                stored, copy=False, wal_meta=wal_meta
-            )
-            self.materialized.observe(stored)
-            # the ledger learns the id only once the document is durably
-            # stored: a failed insert must stay retryable, not turn the
-            # client's redelivery into a dedup hit (silent data loss).
-            if ledger_key is not None:
-                self._dedup_ledger[ledger_key] = ledger_value
-                if len(self._dedup_ledger) > self._dedup_capacity:
-                    self._dedup_ledger.popitem(last=False)
-            for listener in self._ingest_listeners:
-                listener(app_id, [(stored, result)])
-            return result
+        """Persist one observation; its stored id, or None when it was
+        deduplicated. The batch of one: see :meth:`ingest_many`."""
+        return self.ingest_many(app_id, [document])[0]
 
     def ingest_many(
         self, app_id: str, documents: List[Dict[str, Any]], owned: bool = False
     ) -> List[Optional[Any]]:
-        """Persist a batch of observations; ids in input order.
+        """Persist observations; ids in input order. The one write body.
 
-        The batch fast path: one ``ingest_lock`` acquisition covers the
-        whole batch, and the dedup-ledger checks, pseudonymization, the
-        (batch-atomic) collection insert, the materialized fold, and
-        the ledger commit are all amortized across it. The returned
-        list is parallel to ``documents`` — a stored id per new
-        observation, None per deduplicated one (an ``obs_id`` already
-        in the ledger, or repeated earlier in the same batch).
+        Pseudonymization runs before a document touches disk. Ingest is
+        **idempotent** over ``obs_id``: the uplink is at-least-once
+        (retries after unconfirmed publishes, broker redeliveries,
+        retransmitted batches), so clients stamp each observation with
+        a stable ``obs_id`` and a redelivered document is recognized
+        against the bounded ledger and skipped. The returned list is
+        parallel to ``documents`` — a stored id per new observation,
+        None per deduplicated one (an ``obs_id`` already in the ledger,
+        or repeated earlier in the same call). Documents without an
+        ``obs_id`` (legacy producers, feedback blobs) are stored
+        unconditionally.
 
         ``owned=True`` declares the documents server-owned already —
         e.g. freshly parsed from a wire body — so pseudonymization may
@@ -252,71 +225,72 @@ class DataManager:
         caller-retained documents as owned.
 
         Failure keeps the exactly-once contract: ``insert_many`` rolls
-        the whole batch back and nothing reaches the ledger, so a
-        client retransmitting the batch rolls forward via dedup.
+        the whole call back and nothing reaches the ledger, so a
+        client's redelivery rolls forward instead of becoming a dedup
+        hit (silent data loss).
         """
         for document in documents:
             if not isinstance(document, dict):
                 raise ValidationError(
                     f"observation must be a dict, got {type(document).__name__}"
                 )
+        # the whole check → insert → observe → commit sequence runs
+        # under one lock: two threads redelivering the same obs_id must
+        # resolve to exactly one stored document, never a double insert
+        # from both missing the ledger at once.
         with self.ingest_lock:
-            results: List[Optional[Any]] = []
+            results: List[Optional[Any]] = [None] * len(documents)
             fresh: List[Dict[str, Any]] = []
-            store_slots: List[int] = []
-            ledger_keys: List[Optional[str]] = []
-            ledger_values: List[Any] = []
-            seen_in_batch: set = set()
-            for document in documents:
-                ledger_key: Optional[str] = None
-                ledger_value: Any = True
+            slots: List[int] = []
+            # wire-form ledger key -> region (sharded) or True, in input
+            # order: the seen-in-this-call set, the insert's WAL meta
+            # and the ledger commit at once.
+            pending: Dict[str, Any] = {}
+            region_fn = self._region_fn
+            for slot, document in enumerate(documents):
                 obs_id = document.get("obs_id")
                 if obs_id is not None and self._dedup_capacity:
                     ledger_key = str(obs_id)
                     if ledger_key in self._dedup_ledger:
                         self._dedup_ledger.move_to_end(ledger_key)
-                        self.dedup_hits += 1
-                        results.append(None)
                         continue
-                    if ledger_key in seen_in_batch:
-                        self.dedup_hits += 1
-                        results.append(None)
+                    if ledger_key in pending:
                         continue
-                    seen_in_batch.add(ledger_key)
-                    if self._region_fn is not None:
-                        ledger_value = self._region_fn(document)
-                store_slots.append(len(results))
-                results.append(None)
+                    pending[ledger_key] = (
+                        True if region_fn is None else region_fn(document)
+                    )
+                slots.append(slot)
                 fresh.append(document)
-                ledger_keys.append(ledger_key)
-                ledger_values.append(ledger_value)
+            self.dedup_hits += len(documents) - len(fresh)
             if fresh:
                 to_store = self._privacy.anonymize_ingest_many(fresh, owned=owned)
                 for stored in to_store:
                     stored["app_id"] = app_id
-                live_keys = [key for key in ledger_keys if key is not None]
+                # the ledger keys travel inside the insert's WAL record:
+                # recovery re-learns them if and only if the insert
+                # itself survived, keeping exactly-once across a kill -9.
                 wal_meta = None
-                if live_keys:
-                    wal_meta = {"ledger": live_keys}
-                    if self._region_fn is not None:
-                        wal_meta["regions"] = [
-                            value
-                            for key, value in zip(ledger_keys, ledger_values)
-                            if key is not None
-                        ]
+                if pending:
+                    wal_meta = {"ledger": list(pending)}
+                    if region_fn is not None:
+                        wal_meta["regions"] = list(pending.values())
+                # to_store are private copies already: the collection
+                # takes ownership rather than cloning a second time.
                 ids = self._observations.insert_many(
                     to_store, copy=False, wal_meta=wal_meta
                 )
                 self.materialized.observe_batch(to_store)
-                for slot, doc_id in zip(store_slots, ids):
+                for slot, doc_id in zip(slots, ids):
                     results[slot] = doc_id
-                for ledger_key, ledger_value in zip(ledger_keys, ledger_values):
-                    if ledger_key is not None:
-                        self._dedup_ledger[ledger_key] = ledger_value
+                self.ingested += len(ids)
+                # the ledger learns the keys only now, once the
+                # documents are stored.
+                self._dedup_ledger.update(pending)
                 while len(self._dedup_ledger) > self._dedup_capacity:
                     self._dedup_ledger.popitem(last=False)
+                stored_pairs = list(zip(to_store, ids))
                 for listener in self._ingest_listeners:
-                    listener(app_id, list(zip(to_store, ids)))
+                    listener(app_id, stored_pairs)
             return results
 
     def restore_ledger(
@@ -440,6 +414,19 @@ class DataManager:
                 "hits": self.dedup_hits,
             }
 
+    def reliability_snapshot(self) -> Dict[str, Any]:
+        """Delivery counters and the ledger in one coherent look."""
+        with self.ingest_lock:
+            return {
+                "ingested": self.ingested,
+                "deduped": self.dedup_hits,
+                "dedup_ledger": self.dedup_info(),
+            }
+
+    def durability_info(self) -> Dict[str, Any]:
+        """The backing store's journal state."""
+        return self._store.durability_info()
+
     def delete_contributor_data(self, app_id: str, user_id: str) -> int:
         """CNIL right-to-erasure: drop a contributor's observations."""
         pseudonym = self._privacy.pseudonym(user_id)
@@ -476,21 +463,3 @@ class DataManager:
     def count(self, query: DataQuery) -> int:
         """Number of documents matching ``query``."""
         return self._observations.count(query.to_filter())
-
-    # -- packaging ---------------------------------------------------------------
-
-    def as_json_stream(self, query: DataQuery) -> Iterator[str]:
-        """The matching documents as a stream of JSON lines."""
-        for document in self.retrieve(query):
-            document.pop("_id", None)
-            yield json.dumps(document, sort_keys=True)
-
-    def as_file(self, query: DataQuery) -> str:
-        """The matching documents packaged as one JSON-lines string."""
-        return "\n".join(self.as_json_stream(query))
-
-    def as_open_data(self, app_id: str, query: DataQuery) -> List[Dict[str, Any]]:
-        """Open-data export: privacy-coarsened documents."""
-        return [
-            self._privacy.for_open_data(app_id, doc) for doc in self.retrieve(query)
-        ]

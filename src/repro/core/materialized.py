@@ -5,8 +5,8 @@ The figure queries behind ``AnalyticsEngine.totals``,
 pure folds over the observations collection: each ingested document
 contributes O(1) to every counter. Rather than re-scanning 23M
 observations per dashboard refresh, :class:`MaterializedAnalytics`
-maintains those folds online — ``DataManager.ingest`` calls
-:meth:`observe` after every successful insert — and the analytics
+maintains those folds online — ``DataManager.ingest_many`` calls
+:meth:`observe_batch` after every successful insert — and the analytics
 engine consults them with a verified fallback to the full pipeline.
 
 Correctness protocol (the counters must agree *exactly* with a full
@@ -14,8 +14,8 @@ pipeline recomputation at all times):
 
 - **Marker.** The view remembers the collection's lifetime
   ``(inserts, updates, deletes)`` counters at the moment it was last
-  consistent. ``observe`` applies a document incrementally only when
-  the live counters are exactly one insert ahead of the marker —
+  consistent. ``observe_batch`` applies documents incrementally only
+  when the live counters are exactly that many inserts ahead of it —
   any other movement (retention deletes, contributor erasure, direct
   inserts that bypassed ingest, updates) means writes happened that
   the view did not see, and the view silently goes *dirty*.
@@ -80,9 +80,9 @@ class MaterializedAnalytics:
         self._providers: Dict[Any, List[Any]] = {}  # key -> [value, count]
         self._degraded_models = False
         self._degraded_days = False
-        #: batch-ingested documents accepted (marker verified) but not
-        #: yet folded — the batch write path stays O(1) per document
-        #: and the next analytics read drains the tail.
+        #: ingested documents accepted (marker verified) but not yet
+        #: folded — the write path stays O(1) per document and the
+        #: next analytics read drains the tail.
         self._pending: List[Dict[str, Any]] = []
         # observability
         self.rebuilds = 0
@@ -94,39 +94,21 @@ class MaterializedAnalytics:
     # -- write side -----------------------------------------------------------
 
     def observe(self, document: Dict[str, Any]) -> None:
-        """Fold one just-inserted document into the counters.
-
-        Call immediately after a successful ``insert_one``. The fold is
-        applied only when the collection's write counters moved by
-        exactly that one insert since the view was last consistent;
-        otherwise the view goes dirty and rebuilds on the next query.
-        """
-        with self._lock:
-            marker = self._live_marker()
-            prev = self._marker
-            if prev is None or marker != (prev[0] + 1, prev[1], prev[2]):
-                if prev is not None:
-                    self.invalidations += 1
-                self._marker = None
-                self._pending = []
-                return
-            # buffered, not folded: documents must reach _apply in
-            # insertion order (group first-seen order depends on it),
-            # so the single-insert path shares the batch path's queue.
-            self._pending.append(document)
-            self._marker = marker
-            self.incremental_updates += 1
+        """Fold one just-inserted document: the batch of one."""
+        self.observe_batch([document])
 
     def observe_batch(self, documents: List[Dict[str, Any]]) -> None:
         """Fold a just-inserted batch into the counters.
 
-        The batch-insert path bumps the collection's write marker once,
-        by the batch size — so the incremental fold applies only when
-        the live counters are exactly ``len(documents)`` inserts ahead
-        of the marker; any other movement dirties the view as usual.
+        Call immediately after a successful ``insert_many``, which bumps
+        the collection's write marker once, by the batch size — so the
+        incremental fold applies only when the live counters are exactly
+        ``len(documents)`` inserts ahead of the marker; any other
+        movement dirties the view and it rebuilds on the next query.
         The fold itself is deferred: the accepted documents go to a
-        pending buffer (keeping the batch ingest path O(1) per
-        document) and the next analytics read drains them.
+        pending buffer in insertion order (group first-seen order
+        depends on it), keeping ingest O(1) per document, and the next
+        analytics read drains them.
         """
         if not documents:
             return

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 from typing import Any, Dict, Iterable, List, Set
 
 from repro import concurrency
@@ -91,7 +90,13 @@ class PrivacyPolicy:
         return pseudonym
 
     def anonymize_ingest(self, document: Dict[str, Any]) -> Dict[str, Any]:
-        """The storage form of an incoming observation.
+        """The storage form of one observation: the batch of one."""
+        return self.anonymize_ingest_many([document])[0]
+
+    def anonymize_ingest_many(
+        self, documents: List[Dict[str, Any]], owned: bool = False
+    ) -> List[Dict[str, Any]]:
+        """The storage forms of incoming observations.
 
         Replaces ``user_id`` by its pseudonym; the raw id never reaches
         the document store. That guarantee covers every persisted field:
@@ -99,29 +104,15 @@ class PrivacyPolicy:
         ``<user_id>:<seq>``) is rewritten onto the pseudonym before
         storage — deduplication happens upstream on the wire form, so
         the rewrite cannot split retry duplicates.
-        """
-        return self._scrub(json_clone(document))
 
-    def anonymize_ingest_many(
-        self, documents: List[Dict[str, Any]], owned: bool = False
-    ) -> List[Dict[str, Any]]:
-        """Batch form of :meth:`anonymize_ingest`.
-
-        Observation documents arrive in wire (JSON) form, so the whole
-        batch is cloned with one C-level ``json.dumps``/``loads`` round
-        trip instead of one Python-recursive walk per document. Batches
-        that are not JSON-representable (exotic value types) fall back
-        to the per-document path. ``owned=True`` skips the clone
-        entirely and scrubs in place — only for documents the caller
-        exclusively owns (e.g. just parsed from a wire body).
+        Two arms: ``owned=True`` scrubs in place — only for documents
+        the caller exclusively owns (e.g. just parsed from a wire body);
+        otherwise each document is ``json_clone``-d first, so what is
+        stored does not depend on how the observation travelled.
         """
         if owned:
             return [self._scrub(doc) for doc in documents]
-        try:
-            clones = json.loads(json.dumps(documents))
-        except (TypeError, ValueError):
-            return [self._scrub(json_clone(doc)) for doc in documents]
-        return [self._scrub(doc) for doc in clones]
+        return [self._scrub(json_clone(doc)) for doc in documents]
 
     def _scrub(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """In-place user_id -> pseudonym rewrite of an owned clone."""

@@ -34,6 +34,28 @@ from repro.streaming.filters import FilterSpec
 from repro.streaming.subscriptions import SubscriptionManager
 
 
+def _drop_wire_ids(
+    documents: List[Dict[str, Any]], owned: bool
+) -> List[Dict[str, Any]]:
+    """``documents`` without any client-supplied ``_id``: an
+    observation's id is the server's to assign, on either topology.
+    ``owned`` documents lose the key in place; caller-retained ones (a
+    broker-delivered body) are never mutated — shallow copies go on."""
+    for document in documents:
+        if "_id" in document:
+            break
+    else:  # the common case: one ``in`` test per document
+        return documents
+    if owned:
+        for document in documents:
+            document.pop("_id", None)
+        return documents
+    return [
+        {key: value for key, value in document.items() if key != "_id"}
+        for document in documents
+    ]
+
+
 class GoFlowServer:
     """One deployed GoFlow instance."""
 
@@ -86,12 +108,14 @@ class GoFlowServer:
         self.accounts = AccountManager(self.store)
         self.tokens = TokenService(self._clock)
         self.channels = ChannelManager(self.broker)
+        cell_m = DEFAULT_CELL_M
         if sharding is not None:
             config = (
                 sharding
                 if isinstance(sharding, ShardingConfig)
                 else ShardingConfig(shards=sharding)
             )
+            cell_m = config.cell_m
             self.router: Optional[ShardRouter] = ShardRouter(
                 self.privacy,
                 clock=self._clock,
@@ -123,25 +147,20 @@ class GoFlowServer:
                 self.channels.register_app(app_id)
         self.jobs = JobManager(self.store, self._clock)
         # the analytics engine serves its hot statistics from the same
-        # materialized counters the ingest path keeps fresh; a sharded
-        # server also swaps in the scatter-gather collection facade so
-        # pipeline fallbacks span every shard.
+        # materialized counters the ingest path keeps fresh; pipeline
+        # fallbacks read the data plane's collection (sharded: the
+        # scatter-gather facade spanning every shard).
         self.analytics = AnalyticsEngine(
             self.store,
             materialized=self.data.materialized,
-            observations=(self.data.collection if self.router is not None else None),
+            observations=self.data.collection,
         )
         self.api = GoFlowAPI(self.tokens)
         # the live subscription plane. Deliberately transient — never
         # journaled — so a recovered durable server starts with zero
         # subscriptions (no phantom cursors); consumers re-subscribe
         # and stream post-recovery deltas only.
-        self.streaming = SubscriptionManager(
-            clock=self._clock,
-            cell_m=(
-                self.router.cell_m if self.router is not None else DEFAULT_CELL_M
-            ),
-        )
+        self.streaming = SubscriptionManager(clock=self._clock, cell_m=cell_m)
         if self.router is not None:
             # per-shard delta streams come back through the router in
             # global _id order (the coordinator-side merge).
@@ -153,26 +172,19 @@ class GoFlowServer:
         # the inline consumer already ingested and the matching events
         # are already in subscriber outboxes.
         self.broker.add_delivery_tap(self._on_confirmed_delivery)
-        # counters exist before the consumer is registered: a delivery
-        # racing construction must find them, not an AttributeError.
-        self._ingested = 0
-        self._deduped = 0
         self._register_routes()
         self._start_ingest()
 
     @property
     def ingested(self) -> int:
-        """Observations stored (summed across shards when sharded)."""
-        if self.router is not None:
-            return self.router.total_ingested
-        return self._ingested
+        """Observations the data plane stored since start, whoever
+        called it (summed across shards when sharded)."""
+        return self.data.ingested
 
     @property
     def deduped(self) -> int:
         """Redeliveries collapsed by the dedup ledger (all shards)."""
-        if self.router is not None:
-            return self.router.total_deduped
-        return self._deduped
+        return self.data.dedup_hits
 
     # -- ingest path ------------------------------------------------------------
 
@@ -187,32 +199,12 @@ class GoFlowServer:
         document = delivery.body
         if not isinstance(document, dict):
             return  # non-observation traffic (e.g. feedback blobs) is ignored
+        # client publishes route "<zone>.<datatype>" and the app id
+        # travels in the body; a body without one has no owner.
+        app_id = document.get("app_id") or "unknown-app"
         # never mutate the delivered body: the broker may have fanned the
         # same message out to subscriber queues.
-        app_id = document.get("app_id") or self._app_from_key(
-            delivery.message.routing_key
-        )
-        if self.router is not None:
-            # the router locks the owning shard and moves that shard's
-            # counters itself; server totals are summed on demand.
-            self.router.ingest(app_id, document)
-            return
-        # the delivery counters move under the same lock as the dedup
-        # ledger, so at any instant ``deduped == dedup_ledger["hits"]``
-        # for traffic that flows through this server.
-        with self.data.ingest_lock:
-            if self.data.ingest(app_id, document) is None:
-                # at-least-once uplink redelivered a known obs_id: the
-                # ledger collapsed it to exactly-once storage.
-                self._deduped += 1
-            else:
-                self._ingested += 1
-
-    @staticmethod
-    def _app_from_key(routing_key: str) -> str:
-        # client publishes route "<zone>.<datatype>"; the app id travels
-        # in the exchange chain, so default to the datatype's owner.
-        return "unknown-app"
+        self.data.ingest_many(app_id, _drop_wire_ids([document], owned=False))
 
     def _on_confirmed_delivery(self, queue_name: str, message: Any) -> None:
         # only the ingest queue is streaming-relevant; client-facing
@@ -247,19 +239,9 @@ class GoFlowServer:
                 self.broker.faults.info() if self.broker.faults is not None else None
             ),
         }
-        if self.router is not None:
-            # one pass with every shard's ingest lock held: the merged
-            # counters are as coherent as a single shard's would be.
-            reliability = self.router.reliability_snapshot()
-            reliability.update(broker_extras)
-        else:
-            with self.data.ingest_lock:
-                reliability = {
-                    "deduped": self._deduped,
-                    "ingested": self._ingested,
-                    "dedup_ledger": self.data.dedup_info(),
-                    **broker_extras,
-                }
+        # one look with the ingest lock(s) held: the counters are read
+        # together with the ledger they must sum with.
+        reliability = {**self.data.reliability_snapshot(), **broker_extras}
         return {
             "ingested": reliability.pop("ingested"),
             "reliability": reliability,
@@ -282,11 +264,7 @@ class GoFlowServer:
             },
             "materialized": self.data.materialized.info(),
             "columnar": self.data.collection.columnar_info(),
-            "durability": (
-                self.router.durability_info()
-                if self.router is not None
-                else self.store.durability_info()
-            ),
+            "durability": self.data.durability_info(),
             "sharding": (
                 self.router.sharding_stats()
                 if self.router is not None
@@ -431,28 +409,12 @@ class GoFlowServer:
         for observation in observations:
             if not isinstance(observation, dict):
                 raise ValidationError("each observation must be a dict")
-        if self.router is not None:
-            # the router splits the batch by owning shard and counts
-            # per shard under each shard's own ingest lock.
-            ids = self.router.ingest_many(path["app_id"], observations, owned=owned)
-            stored = sum(1 for doc_id in ids if doc_id is not None)
-            deduped = len(ids) - stored
-        else:
-            # same lock discipline as _on_delivery: the server's delivery
-            # counters move with the ledger, never apart from it.
-            with self.data.ingest_lock:
-                ids = self.data.ingest_many(
-                    path["app_id"], observations, owned=owned
-                )
-                stored = sum(1 for doc_id in ids if doc_id is not None)
-                deduped = len(ids) - stored
-                self._ingested += stored
-                self._deduped += deduped
-        return {
-            "accepted": [doc_id is not None for doc_id in ids],
-            "ingested": stored,
-            "deduped": deduped,
-        }
+        ids = self.data.ingest_many(
+            path["app_id"], _drop_wire_ids(observations, owned), owned=owned
+        )
+        accepted = [doc_id is not None for doc_id in ids]
+        stored = sum(accepted)
+        return {"accepted": accepted, "ingested": stored, "deduped": len(ids) - stored}
 
     def _query_from_params(self, app_id: str, params: Dict[str, str]) -> DataQuery:
         def _float(name: str) -> Optional[float]:
@@ -599,9 +561,7 @@ class GoFlowServer:
         return {"snapshot_docs": self.checkpoint()}
 
     def _r_durability(self, request: Request, path: Dict[str, str], principal) -> Any:
-        if self.router is not None:
-            return self.router.durability_info()
-        return self.store.durability_info()
+        return self.data.durability_info()
 
     def _r_sharding(self, request: Request, path: Dict[str, str], principal) -> Any:
         if self.router is None:

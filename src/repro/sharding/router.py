@@ -32,7 +32,6 @@ surface the server already speaks:
 
 from __future__ import annotations
 
-import json
 import re
 import shutil
 from contextlib import ExitStack
@@ -47,6 +46,7 @@ from repro.core.datamgmt import (
     DataManager,
     DataQuery,
     OBSERVATIONS,
+    Packaging,
 )
 from repro.core.errors import ValidationError
 from repro.core.privacy import PrivacyPolicy
@@ -116,7 +116,7 @@ class ShardingConfig:
 
 
 class Shard:
-    """One vertical slice: store + broker + data manager + counters."""
+    """One vertical slice: store + broker + data manager."""
 
     def __init__(
         self, name: str, store: DocumentStore, broker: Broker, data: DataManager
@@ -127,9 +127,6 @@ class Shard:
         self.data = data
         #: topic exchange for this shard's subscription plane
         self.exchange = f"SHARD.{name}"
-        #: guarded by ``data.ingest_lock`` (coherent with the ledger)
-        self.ingested = 0
-        self.deduped = 0
         #: bound-queue count; publish is skipped while zero
         self.subscriptions = 0
         self._channel = None
@@ -168,14 +165,11 @@ class Shard:
         owned: bool,
         region_for: Optional[Callable[[Dict[str, Any]], str]] = None,
     ) -> List[Optional[Any]]:
-        """Apply a sub-batch; counters and notifications ride the same
-        ingest-lock acquisition as the ledger, keeping stats snapshots
-        coherent."""
+        """Apply a sub-batch; region-feed notifications ride the same
+        ingest-lock acquisition as the ledger (feed order = store
+        order)."""
         with self.data.ingest_lock:
             ids = self.data.ingest_many(app_id, documents, owned=owned)
-            stored = sum(1 for doc_id in ids if doc_id is not None)
-            self.ingested += stored
-            self.deduped += len(ids) - stored
             if self.subscriptions and region_for is not None:
                 for doc, doc_id in zip(documents, ids):
                     if doc_id is not None:
@@ -425,7 +419,7 @@ class MergedMaterialized:
         }
 
 
-class ShardRouter:
+class ShardRouter(Packaging):
     """Region-keyed front over N shards; speaks the DataManager surface."""
 
     def __init__(
@@ -556,11 +550,6 @@ class ShardRouter:
     def ring(self) -> HashRing:
         return self._ring
 
-    @property
-    def cell_m(self) -> float:
-        """Region grid cell size (the subscription plane reuses it)."""
-        return self._cell_m
-
     def region_for(self, document: Dict[str, Any]) -> str:
         return region_of(document, self._cell_m)
 
@@ -622,47 +611,22 @@ class ShardRouter:
     # -- ingest ---------------------------------------------------------------
 
     def ingest(self, app_id: str, document: Dict[str, Any]) -> Any:
-        """Route one observation to its region's shard (fast path).
-
-        The router stamps a globally monotonic ``_id`` on a shallow
-        copy of the wire document before the shard's DataManager runs,
-        so ids are unique and ordered across the whole fleet. A
-        deduplicated delivery burns its id — gaps are harmless, only
-        the relative order matters.
-        """
-        if not isinstance(document, dict):
-            raise ValidationError(
-                f"observation must be a dict, got {type(document).__name__}"
-            )
-        region = self.region_for(document)
-        with self._topology.read():
-            name = self._ring.node_for(region)
-            shard = self._shard(name)
-            doc = dict(document)
-            with self._state_lock:
-                doc["_id"] = self._next_id
-                self._next_id += 1
-                self._routes[name] = self._routes.get(name, 0) + 1
-            with shard.data.ingest_lock:
-                result = shard.data.ingest(app_id, doc)
-                if result is None:
-                    shard.deduped += 1
-                else:
-                    shard.ingested += 1
-                    if shard.subscriptions:
-                        shard.notify(region, app_id, document, result)
-            if result is not None and self._delta_listener is not None:
-                self._delta_listener(app_id, [(doc, result)])
-            return result
+        """Route one observation to its region's shard: the batch of
+        one. See :meth:`ingest_many`."""
+        return self.ingest_many(app_id, [document])[0]
 
     def ingest_many(
         self, app_id: str, documents: List[Dict[str, Any]], owned: bool = False
     ) -> List[Optional[Any]]:
         """Split a batch by owning shard; results in input order.
 
-        A batch whose documents all route to one shard takes the
-        single-shard fast path: one sub-batch, one ingest-lock
-        acquisition, exactly like the unsharded batch path.
+        The router stamps globally monotonic ``_id``s (on shallow
+        copies unless the batch is ``owned``) before the shards'
+        DataManagers run, so ids are unique and ordered across the
+        whole fleet. A deduplicated delivery burns its id — gaps are
+        harmless, only the relative order matters. A batch whose
+        documents all route to one shard is one sub-batch and one
+        ingest-lock acquisition, exactly like the unsharded path.
         """
         for document in documents:
             if not isinstance(document, dict):
@@ -803,55 +767,30 @@ class ShardRouter:
             hits += info["hits"]
         return {"size": size, "capacity": self._dedup_capacity, "hits": hits}
 
-    # -- packaging (DataManager surface) --------------------------------------
-
-    def as_json_stream(self, query: DataQuery):
-        for document in self.retrieve(query):
-            document.pop("_id", None)
-            yield json.dumps(document, sort_keys=True)
-
-    def as_file(self, query: DataQuery) -> str:
-        return "\n".join(self.as_json_stream(query))
-
-    def as_open_data(self, app_id: str, query: DataQuery) -> List[Dict[str, Any]]:
-        return [
-            self._privacy.for_open_data(app_id, doc) for doc in self.retrieve(query)
-        ]
-
     # -- coherent stats -------------------------------------------------------
 
+    @property
+    def ingested(self) -> int:
+        """Observations stored, summed over the live shards."""
+        return sum(shard.data.ingested for shard in self._shards_snapshot())
+
+    @property
+    def dedup_hits(self) -> int:
+        """Redeliveries the shards' ledgers collapsed."""
+        return sum(shard.data.dedup_hits for shard in self._shards_snapshot())
+
     def reliability_snapshot(self) -> Dict[str, Any]:
-        """Ingest/dedup totals with every shard's ingest lock held, so
-        the merged counters are as coherent as one shard's would be."""
-        with self._topology.read():
-            shards = [self._shards[name] for name in sorted(self._shards)]
-            with ExitStack() as stack:
-                for shard in shards:
-                    stack.enter_context(shard.data.ingest_lock)
-                ingested = sum(shard.ingested for shard in shards)
-                deduped = sum(shard.deduped for shard in shards)
-                size = hits = 0
-                for shard in shards:
-                    info = shard.data.dedup_info()
-                    size += info["size"]
-                    hits += info["hits"]
-                return {
-                    "ingested": ingested,
-                    "deduped": deduped,
-                    "dedup_ledger": {
-                        "size": size,
-                        "capacity": self._dedup_capacity,
-                        "hits": hits,
-                    },
-                }
-
-    @property
-    def total_ingested(self) -> int:
-        return sum(shard.ingested for shard in self._shards_snapshot())
-
-    @property
-    def total_deduped(self) -> int:
-        return sum(shard.deduped for shard in self._shards_snapshot())
+        """``DataManager.reliability_snapshot`` with every shard's
+        ingest lock held, so the merged counters are as coherent as one
+        shard's would be."""
+        with self._topology.read(), ExitStack() as stack:
+            for name in sorted(self._shards):
+                stack.enter_context(self._shards[name].data.ingest_lock)
+            return {
+                "ingested": self.ingested,
+                "deduped": self.dedup_hits,
+                "dedup_ledger": self.dedup_info(),
+            }
 
     def sharding_stats(self) -> Dict[str, Any]:
         with self._topology.read():
@@ -861,8 +800,8 @@ class ShardRouter:
                 with shard.data.ingest_lock:
                     per_shard[name] = {
                         "documents": len(shard.collection),
-                        "ingested": shard.ingested,
-                        "deduped": shard.deduped,
+                        "ingested": shard.data.ingested,
+                        "deduped": shard.data.dedup_hits,
                         "ledger": shard.data.dedup_info()["size"],
                         "subscriptions": shard.subscriptions,
                     }

@@ -86,22 +86,24 @@ class TestDedupLedger:
 
     def test_failed_insert_does_not_poison_ledger(self, monkeypatch):
         manager = self._manager(capacity=10)
-        original = manager.collection.insert_one
+        original = manager.collection.insert_many
         failures = ["store briefly down"]
 
-        def flaky_insert(document, copy=True, **kwargs):
+        def flaky_insert(documents, **kwargs):
             if failures:
                 raise RuntimeError(failures.pop())
-            return original(document, copy=copy)
+            return original(documents, **kwargs)
 
-        monkeypatch.setattr(manager.collection, "insert_one", flaky_insert)
+        monkeypatch.setattr(manager.collection, "insert_many", flaky_insert)
         doc = {"user_id": "u", "obs_id": "u:1", "taken_at": 1.0}
         with pytest.raises(RuntimeError):
             manager.ingest("SC", doc)
         # the ledger must not remember an id that was never stored: the
         # client's at-least-once retry is a fresh ingest, not a dup
+        assert manager.dedup_info()["size"] == 0
         assert manager.ingest("SC", dict(doc)) is not None
         assert manager.dedup_hits == 0
+        assert manager.ingested == 1
         assert manager.collection.count({}) == 1
 
 

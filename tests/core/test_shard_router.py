@@ -3,9 +3,10 @@
 Row-exactness against an unsharded store is the property oracle's job
 (``tests/property/test_sharded_oracle.py``) and crash safety is
 ``tests/integration/test_rebalance_crash.py``'s; these tests pin what
-neither covers — sharing applied through the router, the per-shard
-region feed, rebalance + retransmit, the stats shape, and shard names
-as hostile input on the admin REST surface.
+neither covers — sharing applied through the router, the packaging
+verbs it shares with ``DataManager``, the per-shard region feed,
+rebalance + retransmit, the stats shape, and shard names as hostile
+input on the admin REST surface.
 """
 
 import os
@@ -14,10 +15,11 @@ import pytest
 
 from repro.core.accounts import Role
 from repro.core.api import Request
-from repro.core.datamgmt import DataQuery
+from repro.core.datamgmt import DataManager, DataQuery
 from repro.core.errors import ValidationError
 from repro.core.privacy import PrivacyPolicy
 from repro.core.server import GoFlowServer
+from repro.docstore.store import DocumentStore
 from repro.sharding.router import RETIRED_SUFFIX, ShardRouter, ShardingConfig
 
 APP = "SC"
@@ -105,6 +107,16 @@ class TestRouter:
         # ledger entries moved with their documents
         assert router.ingest_many(APP, _documents(200)) == [None] * 200
         assert router.collection.count(None) == 200
+
+    def test_packaging_matches_unsharded(self, router):
+        unsharded = DataManager(DocumentStore(), PrivacyPolicy())
+        unsharded.ingest_many(APP, _documents(40))
+        router.ingest_many(APP, _documents(40))
+        query = DataQuery(app_id=APP, since=100.0)
+        packaged = router.as_file(query)
+        assert packaged.count("\n") > 10
+        assert packaged == unsharded.as_file(query)
+        assert router.as_open_data(APP, query) == unsharded.as_open_data(APP, query)
 
     def test_config_rejects_bad_names(self):
         for bad in (["ok", "../up"], ["a/b"], [""], [7], [f"x{RETIRED_SUFFIX}"]):
