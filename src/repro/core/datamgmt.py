@@ -138,8 +138,10 @@ class DataManager(Packaging):
         # columnar mirror over the figure-query hot fields: vectorized
         # $match/$group/$sort kernels serve covered analytics pipelines
         # straight from numpy arrays (no-op when numpy is unavailable).
+        # ``_id`` is mirrored for the scatter's first-seen marker.
         self._observations.enable_columnar(
             [
+                "_id",
                 "model",
                 "mode",
                 "contributor",

@@ -5,7 +5,7 @@ $count $bucket $sortByCount``. Group accumulators: ``$sum $avg $min
 $max $first $last $push $addToSet $count``. Value expressions support ``"$field"`` references
 (dotted), literals, and the arithmetic/array operators GoFlow analytics
 uses (``$add $subtract $multiply $divide $floor $ceil $abs $size
-$concat $cond $ifNull``).
+$concat $cond $ifNull $isNumber``).
 
 GoFlow's crowd-sensing analytics component (paper Figure 2) is built on
 this pipeline: hourly participation histograms, per-model measurement
@@ -55,6 +55,11 @@ ExprFn = Callable[[Dict[str, Any]], Any]
 
 
 # -- expression compiler ------------------------------------------------------
+
+
+def _is_number(value: Any) -> bool:
+    """``$isNumber``: ints and floats, never bools (MongoDB 4.4)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _as_number(value: Any, op: str) -> float:
@@ -128,6 +133,9 @@ def _compile_operator(op: str, operand: Any) -> ExprFn:
     if op == "$abs":
         (fa,) = _compile_numeric_args(operand, op, 1)
         return lambda doc: abs(_as_number(fa(doc), "$abs"))
+    if op == "$isNumber":
+        (fa,) = _compile_numeric_args(operand, op, 1)
+        return lambda doc: _is_number(fa(doc))
     if op == "$size":
         fn = compile_expression(operand)
 
@@ -244,51 +252,30 @@ def _safe_group_key(value: Any) -> Any:
 
 
 class _SumState:
-    # ``exact`` goes False once a float feeds the state: float addition
-    # is order-dependent, so a partitioned fold of this state is no
-    # longer guaranteed bit-identical to the sequential sum (same
-    # fallback philosophy as the columnar mirror's big-float flags).
-    __slots__ = ("total", "exact")
+    __slots__ = ("total",)
 
     def __init__(self) -> None:
         self.total: Any = 0
-        self.exact = True
 
     def feed(self, value: Any) -> None:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if isinstance(value, float):
-                self.exact = False
             self.total += value
-
-    def merge(self, other: "_SumState") -> None:
-        self.total += other.total
-        self.exact = self.exact and other.exact
 
     def result(self) -> Any:
         return self.total
 
 
 class _AvgState:
-    __slots__ = ("total", "count", "exact")
+    __slots__ = ("total", "count")
 
     def __init__(self) -> None:
         self.total: Any = 0
         self.count = 0
-        self.exact = True
 
     def feed(self, value: Any) -> None:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if isinstance(value, float):
-                self.exact = False
             self.total += value
             self.count += 1
-
-    def merge(self, other: "_AvgState") -> None:
-        # $avg merges as a (sum, count) pair — averaging the per-shard
-        # averages would weight small shards equally with large ones.
-        self.total += other.total
-        self.count += other.count
-        self.exact = self.exact and other.exact
 
     def result(self) -> Any:
         return self.total / self.count if self.count else None
@@ -305,10 +292,6 @@ class _MinState:
             if self.best is None or value < self.best:
                 self.best = value
 
-    def merge(self, other: "_MinState") -> None:
-        if other.best is not None and (self.best is None or other.best < self.best):
-            self.best = other.best
-
     def result(self) -> Any:
         return self.best
 
@@ -323,10 +306,6 @@ class _MaxState:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if self.best is None or value > self.best:
                 self.best = value
-
-    def merge(self, other: "_MaxState") -> None:
-        if other.best is not None and (self.best is None or other.best > self.best):
-            self.best = other.best
 
     def result(self) -> Any:
         return self.best
@@ -411,9 +390,6 @@ class _CountState:
     def feed(self, value: Any) -> None:
         self.count += 1
 
-    def merge(self, other: "_CountState") -> None:
-        self.count += other.count
-
     def result(self) -> Any:
         return self.count
 
@@ -431,14 +407,6 @@ _ACCUMULATOR_STATES = {
 }
 
 _ACCUMULATOR_OPS = frozenset(_ACCUMULATOR_STATES)
-
-#: Accumulators whose per-partition states combine losslessly via
-#: ``merge()`` — the scatter-gather coordinator may fold these per shard
-#: and re-group centrally. Order-dependent ($first/$last) and
-#: list-building ($push/$addToSet) accumulators are excluded: their
-#: merge would need the global document order, so pipelines using them
-#: gather documents centrally instead.
-MERGEABLE_ACCUMULATORS = frozenset({"$sum", "$avg", "$min", "$max", "$count"})
 
 #: (output field, value closure, state factory)
 AccSpec = Tuple[str, ExprFn, Callable[[], Any]]
@@ -803,25 +771,6 @@ class CompiledPipeline:
                 raise QuerySyntaxError(f"unknown pipeline stage {op!r}")
             index += 2 if fused else 1
 
-    def stream(
-        self,
-        documents: Iterable[Dict[str, Any]],
-        skip_leading_match: bool = False,
-    ) -> Iterable[Dict[str, Any]]:
-        """The raw stage chain over ``documents`` — no exit clone.
-
-        Yielded documents may alias stored ones; callers must treat them
-        as read-only (the scatter-gather fold consumes them without ever
-        handing them out, which is why it can skip the per-row clone).
-        """
-        stages = self._stages
-        if skip_leading_match and self.leading_match is not None:
-            stages = stages[self._post_match_index:]
-        stream: Iterable[Dict[str, Any]] = documents
-        for stage in stages:
-            stream = stage(stream)
-        return stream
-
     def run(
         self,
         documents: Iterable[Dict[str, Any]],
@@ -833,10 +782,13 @@ class CompiledPipeline:
         documents (one ``json_clone`` per result instead of a deepcopy
         per stage per document).
         """
-        return [
-            json_clone(doc)
-            for doc in self.stream(documents, skip_leading_match=skip_leading_match)
-        ]
+        stages = self._stages
+        if skip_leading_match and self.leading_match is not None:
+            stages = stages[self._post_match_index:]
+        stream: Iterable[Dict[str, Any]] = documents
+        for stage in stages:
+            stream = stage(stream)
+        return [json_clone(doc) for doc in stream]
 
 
 def compile_pipeline(pipeline: List[Dict[str, Any]]) -> CompiledPipeline:

@@ -46,6 +46,17 @@ PLAN_CACHE_SIZE = 256
 _UNCACHED = object()
 
 
+def id_order_key(doc_id: Any) -> Tuple[int, Any]:
+    """``_id`` order: numbers by value, then everything else by string.
+
+    Ids are allocated increasingly, so for auto-assigned (and
+    router-stamped) ids this is insertion order.
+    """
+    if isinstance(doc_id, (int, float)) and not isinstance(doc_id, bool):
+        return (0, doc_id)
+    return (1, str(doc_id))
+
+
 def _filter_shape(filter_doc: Dict[str, Any]) -> Optional[Tuple[Any, ...]]:
     """Hashable shape of a filter, or None when it cannot be summarized.
 
@@ -703,9 +714,9 @@ class Collection:
                             len(candidate_ids) / len(self._docs) if self._docs else 0.0
                         ),
                     )
-                    ordered = sorted(
-                        candidate_ids, key=lambda i: (str(type(i)), str(i))
-                    )
+                    # order-sensitive stages ($first/$last/$push, group
+                    # order) see _id order, as a scan does, not str(_id)'s
+                    ordered = sorted(candidate_ids, key=id_order_key)
                     documents = (
                         doc
                         for doc in (self._docs.get(doc_id) for doc_id in ordered)

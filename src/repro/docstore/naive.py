@@ -91,6 +91,13 @@ def _apply_expr_operator(doc: Dict[str, Any], op: str, operand: Any) -> Any:
     if op == "$abs":
         (a,) = _numeric_args(doc, operand, op, 1)
         return abs(a)
+    if op == "$isNumber":
+        if isinstance(operand, list):
+            if len(operand) != 1:
+                raise QuerySyntaxError(f"{op} requires exactly 1 arguments")
+            operand = operand[0]
+        value = _resolve_expression(doc, operand)
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
     if op == "$size":
         value = _resolve_expression(doc, operand)
         if not isinstance(value, list):

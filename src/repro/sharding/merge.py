@@ -1,56 +1,58 @@
-"""Scatter-gather pipeline planning and partial-fold merging.
+"""Scatter-gather pipeline planning and partial-``$group`` merging.
 
 A pipeline is *fold-mergeable* when it reaches a ``$group`` whose
-accumulators all combine losslessly across partitions
-(:data:`~repro.docstore.aggregate.MERGEABLE_ACCUMULATORS`) through a
-prefix that only filters or reshapes rows without touching ``_id``
-(``$match``/``$unwind``/``$addFields``). For those, each shard folds
-its own documents into per-group accumulator states and the coordinator
-merges the states — ``$sum``/``$count`` totals add, ``$min``/``$max``
-take the best, ``$avg`` merges as (sum, count) pairs — then runs any
-remaining suffix stages centrally.
+accumulators all combine across partitions (``$sum``/``$count``/
+``$min``/``$max``/``$avg``) through a prefix that only filters or
+reshapes rows without touching ``_id`` (``$match``/``$addFields``).
+For those, every shard runs :attr:`GroupScatterPlan.shard_pipeline` —
+the prefix plus a *partial* ``$group`` — through its own
+``Collection.aggregate``, so the shard's index pushdown, plan cache and
+columnar kernel all apply. The coordinator merges the small group rows
+(totals add, ``$min``/``$max`` take the best, ``$avg`` travels as a sum
+plus a numeric count) and runs the remaining suffix stages centrally.
 
-Everything else (no ``$group``, order-dependent accumulators, ``_id``
-rewrites before the group) gathers matching documents from every shard,
-re-establishes the global insertion order, and runs the full compiled
-pipeline on the coordinator.
+Group output order matches the unsharded engine exactly: groups come
+out in first-seen stream order, which is ``_id`` order, so the partial
+group carries ``{"$min": "$_id"}`` — each group's first global position
+— and the coordinator orders merged groups by it. ``$unwind`` is not a
+prefix stage: two groups first seen in one unwound document would tie
+on that marker.
 
-Group output order matches the unsharded engine exactly: the compiled
-engine emits groups in first-seen stream order, so each partial fold
-records the global position ``(_id sort key, occurrence-within-doc)``
-of every group's earliest contributing row and the coordinator sorts
-merged groups by that key.
+Exactness is read off the value type: float addition is
+order-dependent, so a float ``$sum``/``$avg`` partial (or a marker that
+is not an int id) makes :meth:`GroupScatterPlan.merge` decline, and the
+router gathers documents and runs the whole pipeline centrally in
+global ``_id`` order — as it does for every other pipeline.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.docstore.aggregate import (
-    MERGEABLE_ACCUMULATORS,
-    QuerySyntaxError,
-    _compile_accumulator,
-    _safe_group_key,
-    compile_expression,
-    compile_pipeline,
-)
-from repro.docstore.clone import json_clone
+from repro.docstore.aggregate import _safe_group_key, compile_pipeline
+from repro.docstore.collection import id_order_key
+from repro.docstore.errors import DocStoreError
 
-#: Prefix stages that preserve ``_id`` on every emitted row.
-_PREFIX_OPS = frozenset({"$match", "$unwind", "$addFields"})
+#: Prefix stages that preserve ``_id`` and emit at most one row per
+#: document.
+_PREFIX_OPS = frozenset({"$match", "$addFields"})
+
+#: Accumulators whose partial values combine without the global order;
+#: $first/$last/$push/$addToSet would need it, so those gather centrally.
+_MERGEABLE = frozenset({"$sum", "$avg", "$min", "$max", "$count"})
+
+#: the partial group's first-seen marker field
+_FIRST = "first"
 
 
 def global_order_key(document: Dict[str, Any]) -> Tuple[int, Any]:
     """Total order over documents by ``_id`` — the global insertion
     order, since the router allocates monotonically increasing ids."""
-    doc_id = document.get("_id")
-    if isinstance(doc_id, (int, float)) and not isinstance(doc_id, bool):
-        return (0, doc_id)
-    return (1, str(doc_id))
+    return id_order_key(document.get("_id"))
 
 
 class GroupScatterPlan:
-    """A fold-mergeable split: prefix → ``$group`` → suffix."""
+    """A fold-mergeable split: prefix → partial ``$group`` → suffix."""
 
     def __init__(
         self,
@@ -58,90 +60,70 @@ class GroupScatterPlan:
         group_spec: Dict[str, Any],
         suffix: List[Dict[str, Any]],
     ) -> None:
-        self.prefix = prefix
-        self.suffix = suffix
-        self.group_spec = group_spec
-        self._prefix_compiled = compile_pipeline(prefix) if prefix else None
-        id_expr = group_spec["_id"]
-        self._id_fn = (
-            (lambda doc: None) if id_expr is None else compile_expression(id_expr)
-        )
-        self._accs = [
-            _compile_accumulator(name, acc)
-            for name, acc in group_spec.items()
-            if name != "_id"
-        ]
+        partial: Dict[str, Any] = {"_id": group_spec["_id"]}
+        #: (output name, accumulator op, partial field, $avg count field)
+        self._outputs: List[Tuple[str, str, str, str]] = []
+        for position, (name, acc) in enumerate(
+            (name, acc) for name, acc in group_spec.items() if name != "_id"
+        ):
+            op, expression = next(iter(acc.items()))
+            field, count_field = f"p{position}", f"n{position}"
+            if op == "$count":
+                partial[field] = {"$sum": 1}
+            elif op == "$avg":
+                partial[field] = {"$sum": expression}
+                # [expression]: an argument list, so a list-valued
+                # expression is one argument, not several
+                partial[count_field] = {
+                    "$sum": {"$cond": [{"$isNumber": [expression]}, 1, 0]}
+                }
+            else:
+                partial[field] = {op: expression}
+            self._outputs.append((name, op, field, count_field))
+        partial[_FIRST] = {"$min": "$_id"}
+        self.shard_pipeline = prefix + [{"$group": partial}]
+        # compiled here so a malformed pipeline never reaches a shard
+        compile_pipeline(self.shard_pipeline)
+        self._suffix = compile_pipeline(suffix) if suffix else None
 
-    def partial_fold(self, documents: Iterable[Dict[str, Any]]) -> Dict[Any, list]:
-        """Fold one shard's documents into per-group accumulator states.
-
-        Returns ``{group key: [group_id, states, min_seq]}`` where
-        ``min_seq`` is the global position of the group's earliest
-        contributing row. All mergeable accumulators are
-        order-insensitive, so fold order within the shard is free.
-        """
-        stream: Iterable[Dict[str, Any]] = documents
-        if self._prefix_compiled is not None:
-            stream = self._prefix_compiled.stream(stream)
-        groups: Dict[Any, list] = {}
-        occurrences: Dict[Any, int] = {}
-        for row in stream:
-            order = global_order_key(row)
-            occ = occurrences.get(order, 0)
-            occurrences[order] = occ + 1
-            seq = (order, occ)
-            group_id = self._id_fn(row)
-            key = _safe_group_key(group_id)
-            entry = groups.get(key)
-            if entry is None:
-                entry = [group_id, [cls() for _, _, cls in self._accs], seq]
-                groups[key] = entry
-            elif seq < entry[2]:
-                entry[2] = seq
-            for (_, value_fn, _), state in zip(self._accs, entry[1]):
-                state.feed(value_fn(row))
-        return groups
-
-    def merge(self, partials: Iterable[Dict[Any, list]]) -> List[Dict[str, Any]]:
-        """Combine per-shard folds and run the suffix centrally."""
-        merged: Dict[Any, list] = {}
-        for partial in partials:
-            for key, (group_id, states, seq) in partial.items():
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [group_id, states, seq]
+    def merge(
+        self, per_shard_rows: Iterable[List[Dict[str, Any]]]
+    ) -> Optional[List[Dict[str, Any]]]:
+        """Combine the shards' partial group rows and run the suffix, or
+        None when the merge could differ from the sequential result."""
+        groups: Dict[Any, List[Dict[str, Any]]] = {}
+        for rows in per_shard_rows:
+            for row in rows:
+                if type(row[_FIRST]) is not int:
+                    return None
+                groups.setdefault(_safe_group_key(row["_id"]), []).append(row)
+        merged: List[Tuple[int, Dict[str, Any]]] = []
+        for parts in groups.values():
+            parts.sort(key=lambda part: part[_FIRST])
+            # the earliest part spells the group id as the sequential
+            # engine does (1 vs 1.0 group together)
+            row: Dict[str, Any] = {"_id": parts[0]["_id"]}
+            for name, op, field, count_field in self._outputs:
+                values = [part[field] for part in parts]
+                if op in ("$min", "$max"):
+                    present = [value for value in values if value is not None]
+                    if any(value != value for value in present):  # NaN
+                        return None
+                    best = min if op == "$min" else max
+                    row[name] = best(present) if present else None
                     continue
-                if seq < entry[2]:
-                    entry[2] = seq
-                for mine, theirs in zip(entry[1], states):
-                    mine.merge(theirs)
-        rows: List[Dict[str, Any]] = []
-        for group_id, states, _ in sorted(merged.values(), key=lambda e: e[2]):
-            row: Dict[str, Any] = {"_id": group_id}
-            for (name, _, _), state in zip(self._accs, states):
-                row[name] = state.result()
-            rows.append(row)
-        if self.suffix:
-            return compile_pipeline(self.suffix).run(rows)
-        return [json_clone(row) for row in rows]
-
-
-def fold_is_exact(partials: Iterable[Dict[Any, list]]) -> bool:
-    """Whether the partial folds are partition-independent.
-
-    Integer ``$sum``/``$avg`` totals (and every ``$min``/``$max``/
-    ``$count``) are associative, so the merged result is bit-identical
-    to the sequential one. A float fed to a sum makes accumulation
-    order-dependent — the coordinator must re-run centrally over the
-    globally ordered documents instead, the same sequential-semantics
-    discipline the columnar kernels follow.
-    """
-    for partial in partials:
-        for _, states, _ in partial.values():
-            for state in states:
-                if not getattr(state, "exact", True):
-                    return False
-    return True
+                if any(type(value) is float for value in values):
+                    return None
+                total = sum(values)
+                if op == "$avg":
+                    count = sum(part[count_field] for part in parts)
+                    row[name] = total / count if count else None
+                else:
+                    row[name] = total
+            merged.append((parts[0][_FIRST], row))
+        merged.sort(key=lambda pair: pair[0])
+        rows = [row for _, row in merged]
+        return self._suffix.run(rows) if self._suffix is not None else rows
 
 
 def plan_scatter(pipeline: List[Dict[str, Any]]) -> Optional[GroupScatterPlan]:
@@ -165,7 +147,7 @@ def plan_scatter(pipeline: List[Dict[str, Any]]) -> Optional[GroupScatterPlan]:
                     continue
                 if not isinstance(acc, dict) or len(acc) != 1:
                     return None
-                if next(iter(acc)) not in MERGEABLE_ACCUMULATORS:
+                if next(iter(acc)) not in _MERGEABLE:
                     return None
             try:
                 return GroupScatterPlan(
@@ -173,7 +155,7 @@ def plan_scatter(pipeline: List[Dict[str, Any]]) -> Optional[GroupScatterPlan]:
                     spec,
                     [dict([s]) for s in specs[index + 1:]],
                 )
-            except QuerySyntaxError:
+            except DocStoreError:
                 return None
         if op not in _PREFIX_OPS:
             return None

@@ -18,8 +18,8 @@ surface the server already speaks:
   single-shard fast path.
 - **Reads** scatter to every shard and merge on the coordinator:
   ``find``/``retrieve`` re-establish the global ``_id`` order before
-  re-applying sort/limit; ``aggregate`` folds mergeable ``$group``
-  pipelines per shard and merges accumulator states (see
+  re-applying sort/limit; ``aggregate`` runs a partial ``$group``
+  through every shard's own engine and merges the group rows (see
   :mod:`repro.sharding.merge`), gathering documents centrally
   otherwise. Results carry ``explain["strategy"] == "scattered"`` with
   per-shard detail.
@@ -55,7 +55,7 @@ from repro.docstore.clone import json_clone
 from repro.docstore.collection import AggregationResult, CollectionStats
 from repro.docstore.cursor import Cursor, sort_documents
 from repro.docstore.store import DocumentStore
-from repro.sharding.merge import fold_is_exact, global_order_key, plan_scatter
+from repro.sharding.merge import global_order_key, plan_scatter
 from repro.sharding.region import DEFAULT_CELL_M, region_of
 from repro.sharding.ring import DEFAULT_VNODES, HashRing
 
@@ -176,11 +176,10 @@ class Shard:
                         self.notify(region_for(doc), app_id, doc, doc_id)
         return ids
 
-    def submit_partial_fold(self, plan: Any) -> Tuple[Any, List[Dict[str, Any]]]:
-        documents = self.collection.iter_documents()
-        # the gathered snapshot rides along so an inexact fold can fall
-        # back to the central path without re-reading the shard
-        return plan.partial_fold(documents), documents
+    def submit_partial_fold(self, plan: Any) -> AggregationResult:
+        """The partial ``$group`` through this shard's own engine
+        (index pushdown, plan cache, columnar kernel)."""
+        return self.collection.aggregate(plan.shard_pipeline)
 
     def submit_documents(self) -> List[Dict[str, Any]]:
         return self.collection.iter_documents()
@@ -680,36 +679,33 @@ class ShardRouter(Packaging):
 
     def scatter_aggregate(self, pipeline: List[Dict[str, Any]]) -> AggregationResult:
         """Scatter ``pipeline`` across shards and merge on the
-        coordinator — partial accumulator folds when the pipeline is
-        fold-mergeable, central gather (in global ``_id`` order)
+        coordinator — each shard's partial group rows when the pipeline
+        is fold-mergeable, central gather (in global ``_id`` order)
         otherwise."""
         with self._topology.read():
             plan = plan_scatter(pipeline)
+            shards = [self._shards[name] for name in sorted(self._shards)]
             detail: Dict[str, Dict[str, Any]] = {}
             rows: Optional[List[Dict[str, Any]]] = None
-            merge_kind = "central"
-            per_shard_docs: List[List[Dict[str, Any]]] = []
-            partials = []
-            for name in sorted(self._shards):
-                shard = self._shards[name]
-                if plan is None:
-                    documents = shard.submit_documents()
-                    detail[name] = {"documents": len(documents)}
-                else:
-                    partial, documents = shard.submit_partial_fold(plan)
-                    partials.append(partial)
-                    detail[name] = {
-                        "documents": len(documents),
+            merge_kind = "partial_folds"
+            if plan is not None:
+                partials = [shard.submit_partial_fold(plan) for shard in shards]
+                for shard, partial in zip(shards, partials):
+                    detail[shard.name] = {
+                        "strategy": partial.explain["strategy"],
                         "groups": len(partial),
                     }
-                per_shard_docs.append(documents)
-            if plan is not None and fold_is_exact(partials):
                 rows = plan.merge(partials)
-                merge_kind = "partial_folds"
-            # a float fed a $sum/$avg: the merged total would not be
-            # bit-identical to the sequential one — gather instead
+            # not fold-mergeable, or a float fed a $sum/$avg (the merged
+            # total would not be bit-identical to the sequential one):
+            # gather documents and run the pipeline in global _id order
             if rows is None:
-                gathered = [doc for documents in per_shard_docs for doc in documents]
+                merge_kind = "central"
+                gathered: List[Dict[str, Any]] = []
+                for shard in shards:
+                    documents = shard.submit_documents()
+                    detail[shard.name] = {"documents": len(documents)}
+                    gathered.extend(documents)
                 gathered.sort(key=global_order_key)
                 rows = compile_pipeline(pipeline).run(gathered)
         with self._state_lock:

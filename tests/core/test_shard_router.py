@@ -125,6 +125,107 @@ class TestRouter:
         assert ShardingConfig(shards=["eu-1", "us_2"]).names == ["eu-1", "us_2"]
 
 
+def _twins(count=200):
+    """A 4-shard server and an unsharded one over the same documents."""
+    documents = [
+        dict(doc, level=n % 7, tags=["a", "b"][: n % 3])
+        for n, doc in enumerate(_documents(count))
+    ]
+    servers = []
+    for sharding in (4, None):
+        server = GoFlowServer(sharding=sharding)
+        server.register_app(APP)
+        server.data.ingest_many(APP, [dict(doc) for doc in documents])
+        servers.append(server)
+    return servers
+
+
+class TestScatter:
+    def test_top_k_runs_every_shards_columnar_kernel(self, monkeypatch):
+        sharded, unsharded = _twins()
+        shards = sharded.router.shards
+        hits = {
+            name: shard.collection.columnar_info()["kernel_hits"]
+            for name, shard in shards.items()
+        }
+        captured = []
+        scatter = sharded.router.scatter_aggregate
+        monkeypatch.setattr(
+            sharded.router,
+            "scatter_aggregate",
+            lambda pipeline: captured.append(scatter(pipeline)) or captured[-1],
+        )
+        top = sharded.analytics.top_contributors("M1")
+        assert top and top == unsharded.analytics.top_contributors("M1")
+        (result,) = captured
+        assert result.explain["merge"] == "partial_folds"
+        assert set(result.explain["shards"]) == set(shards)
+        for detail in result.explain["shards"].values():
+            assert detail["strategy"] == "columnar"
+        assert {
+            name: shard.collection.columnar_info()["kernel_hits"]
+            for name, shard in shards.items()
+        } == {name: before + 1 for name, before in hits.items()}
+
+    @pytest.mark.parametrize(
+        "pipeline, merge",
+        [
+            (
+                [
+                    {"$match": {"level": {"$gte": 1}}},
+                    {
+                        "$group": {
+                            "_id": "$model",
+                            "mean": {"$avg": "$level"},
+                            "n": {"$count": {}},
+                            "lo": {"$min": "$taken_at"},
+                        }
+                    },
+                ],
+                "partial_folds",
+            ),
+            (
+                [{"$group": {"_id": "$level", "total": {"$sum": "$noise_dba"}}}],
+                "central",
+            ),
+            (
+                [{"$unwind": "$tags"}, {"$group": {"_id": "$tags", "n": {"$sum": 1}}}],
+                "central",
+            ),
+        ],
+        ids=["int-avg", "float-sum", "unwind-prefix"],
+    )
+    def test_merge_kind_follows_value_types(self, pipeline, merge):
+        sharded, unsharded = _twins()
+        result = sharded.data.collection.aggregate(pipeline)
+        assert result.explain["merge"] == merge
+        assert list(result) == list(unsharded.data.collection.aggregate(pipeline))
+
+    def test_nan_min_partial_gathers_centrally(self):
+        """A sequential $min ignores a NaN unless it comes first, so a
+        shard whose group starts with NaN hides its smaller values: the
+        merge must decline rather than answer 4.0."""
+        sharded, unsharded = GoFlowServer(sharding=2), GoFlowServer()
+        owners = {}
+        for n in range(100):
+            owners.setdefault(sharded.router.ring.node_for(f"r{n}"), f"r{n}")
+        early, late = (owners[name] for name in sorted(owners))
+        documents = [
+            {"obs_id": f"nan:{n}", "user_id": "u0", "region": region, "k": "x", "v": v}
+            for n, (region, v) in enumerate(
+                [(early, 4.0), (late, float("nan")), (late, 3.0)]
+            )
+        ]
+        pipeline = [{"$group": {"_id": "$k", "lo": {"$min": "$v"}}}]
+        for server in (sharded, unsharded):
+            server.register_app(APP)
+            server.data.ingest_many(APP, [dict(doc) for doc in documents])
+        result = sharded.data.collection.aggregate(pipeline)
+        assert result.explain["merge"] == "central"
+        assert list(result) == list(unsharded.data.collection.aggregate(pipeline))
+        assert list(result) == [{"_id": "x", "lo": 3.0}]
+
+
 def _manager_server(**kwargs):
     server = GoFlowServer(sharding=2, **kwargs)
     server.register_app(APP)

@@ -220,6 +220,27 @@ class TestExpressions:
         assert out[0]["joined"] == "x-suffix"
         assert out[0]["n"] == 3
 
+    def test_is_number_matches_mongodb_semantics(self):
+        from repro.docstore.naive import naive_aggregate
+
+        docs = [{"v": 1}, {"v": 2.5}, {"v": True}, {"v": None}, {}, {"v": "1"}, {"v": [1]}]
+        pipeline = [
+            {
+                "$project": {
+                    "_id": 0,
+                    "bare": {"$isNumber": "$v"},
+                    "listed": {"$isNumber": ["$v"]},
+                }
+            }
+        ]
+        expected = [True, True, False, False, False, False, False]
+        for engine in (aggregate, naive_aggregate):
+            out = engine(docs, pipeline)
+            assert [row["bare"] for row in out] == expected
+            assert [row["listed"] for row in out] == expected
+        with pytest.raises(QuerySyntaxError):
+            aggregate(docs, [{"$project": {"x": {"$isNumber": ["$v", "$v"]}}}])
+
     def test_unknown_stage_rejected(self):
         with pytest.raises(QuerySyntaxError):
             aggregate(DOCS, [{"$teleport": {}}])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.docstore.collection import AggregationResult, Collection
+from repro.docstore.naive import naive_aggregate
 
 
 @pytest.fixture
@@ -111,6 +112,28 @@ class TestPushdown:
         assert rows.explain["candidates"] == 0
         assert rows.explain["examined_share"] == 0.0
         assert rows == [{"n": 0}]
+
+    def test_pushdown_feeds_candidates_in_id_order(self):
+        """Order-sensitive accumulators see the scan's order on the index
+        path too: ids 10..12 come after 9, not after 1 as in str order."""
+        coll = Collection("observations")
+        coll.create_index("model", kind="hash")
+        coll.insert_many([{"model": "X", "tag": f"t{i}"} for i in range(12)])
+        pipeline = [
+            {"$match": {"model": "X"}},
+            {
+                "$group": {
+                    "_id": "$model",
+                    "last": {"$last": "$tag"},
+                    "tags": {"$push": "$tag"},
+                }
+            },
+        ]
+        rows = coll.aggregate(pipeline)
+        assert rows.explain["strategy"] == "index"
+        tags = [f"t{i}" for i in range(12)]
+        assert list(rows) == [{"_id": "X", "last": "t11", "tags": tags}]
+        assert list(rows) == naive_aggregate(coll.iter_documents(), pipeline)
 
     def test_verification_still_applies_residual_predicates(self, collection):
         # planner narrows on the indexed field; the non-indexed part of

@@ -71,10 +71,24 @@ class TestConfiguration:
         with pytest.raises(DocStoreError):
             collection.enable_columnar([""])
 
-    def test_id_is_never_mirrored(self):
+    @needs_numpy
+    def test_id_is_mirrored_but_never_vectorized(self):
         collection = Collection("c")
+        collection.create_index("model", kind="hash")
         mirror = collection.enable_columnar(["_id", "model"])
-        assert mirror.fields == ("model",)
+        assert mirror.fields == ("_id", "model")
+        collection.insert_many(_docs(10))
+        # the scatter's first-seen marker is kernel-covered ...
+        marker = _check(
+            collection, [{"$group": {"_id": "$model", "first": {"$min": "$_id"}}}]
+        )
+        assert marker.explain["strategy"] == "columnar"
+        assert [row["first"] for row in marker] == [1, 2, 3, 4]
+        # ... but a $match on _id stays with the planner's id step
+        for match in ({"_id": 3}, {"_id": 3, "model": "m2"}):
+            result = _check(collection, [{"$match": match}, {"$count": "n"}])
+            assert result.explain["strategy"] == "index"
+            assert "_id" in result.explain["columnar"]["reason"]
 
     def test_info_without_mirror(self):
         collection = Collection("c")
@@ -185,6 +199,51 @@ class TestWriteTracking:
         _check(collection, GROUP_PIPELINE)
         collection.update_many({"model": "no-such"}, {"$set": {"x": 1}})
         assert collection.columnar_info()["fresh"] is True
+
+
+@needs_numpy
+class TestLazyColumns:
+    TOP_K = [
+        {"$match": {"noise_dba": {"$gte": 50.0}}},
+        {"$group": {"_id": "$model", "n": {"$sum": 1}}},
+        {"$sort": {"n": -1}},
+        {"$limit": 2},
+    ]
+
+    @staticmethod
+    def _built(mirror):
+        return {field: len(mirror._columns[field].codes) for field in mirror.fields}
+
+    def test_columns_are_built_on_first_read(self):
+        collection = Collection("c")
+        mirror = collection.enable_columnar(
+            ["_id", "model", "noise_dba", "taken_at", "location"]
+        )
+        collection.insert_many(_docs())
+        assert set(self._built(mirror).values()) == {0}
+        assert _check(collection, self.TOP_K).explain["strategy"] == "columnar"
+        # only the plan's columns hold rows
+        assert self._built(mirror) == {
+            "_id": 0, "model": 40, "noise_dba": 40, "taken_at": 0, "location": 0,
+        }
+        # a later kernel over other columns builds them, from row 0
+        collection.insert_many(_docs(5))
+        result = _check(collection, GROUP_PIPELINE)
+        assert result.explain["strategy"] == "columnar"
+        assert result.explain["columnar"]["rebuilt"] is False
+        assert self._built(mirror) == {
+            "_id": 0, "model": 45, "noise_dba": 45, "taken_at": 0, "location": 45,
+        }
+        # invalidation resets every column; the rebuild fills the reader's
+        collection.update_many({"model": "m2"}, {"$set": {"noise_dba": 55.0}})
+        assert set(self._built(mirror).values()) == {0}
+        result = _check(collection, self.TOP_K)
+        assert result.explain["columnar"]["rebuilt"] is True
+        assert self._built(mirror)["location"] == 0
+        result = _check(collection, GROUP_PIPELINE)
+        assert result.explain["strategy"] == "columnar"
+        assert result.explain["columnar"]["rebuilt"] is False
+        assert self._built(mirror)["location"] == len(collection)
 
 
 @needs_numpy

@@ -147,6 +147,27 @@ class TestCompiledMatchesNaive:
 
     @settings(max_examples=60, deadline=None)
     @given(DOCUMENTS)
+    def test_is_number_agrees(self, docs):
+        # the scatter's $avg count rides on $isNumber: every field shape
+        # the generator makes (ints, floats, bools, None, str, lists,
+        # documents, missing) must classify the same in both engines
+        pipeline = [
+            {
+                "$group": {
+                    "_id": "$k",
+                    **{
+                        f"n_{field}": {
+                            "$sum": {"$cond": [{"$isNumber": f"${field}"}, 1, 0]}
+                        }
+                        for field in ("v", "w", "flag", "tags", "nested", "misc")
+                    },
+                }
+            }
+        ]
+        assert aggregate(docs, pipeline) == naive_aggregate(docs, pipeline)
+
+    @settings(max_examples=60, deadline=None)
+    @given(DOCUMENTS)
     def test_bucket_agrees(self, docs):
         pipeline = [
             {

@@ -34,6 +34,22 @@ APP = "oracle-app"
 
 SHARD_COUNTS = st.sampled_from([2, 3, 5])
 
+#: integer accumulators only, no suffix: stays on the partial-fold path
+#: and shows the merged groups' first-seen order as it is
+FOLD_PIPELINE = [
+    {"$match": {"v": {"$gte": -40}}},
+    {
+        "$group": {
+            "_id": "$k",
+            "n": {"$count": {}},
+            "total": {"$sum": "$v"},
+            "lo": {"$min": "$v"},
+            "hi": {"$max": "$v"},
+            "mean_v": {"$avg": "$v"},
+        }
+    },
+]
+
 
 def _wire_documents(docs):
     """Stamp identity + routing spread onto the generated documents.
@@ -114,6 +130,39 @@ class TestShardedAggregateOracle:
         scattered = sharded.data.collection.aggregate(pipeline)
         assert list(scattered) == list(
             unsharded.data.collection.aggregate(pipeline)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(DOCUMENTS, PIPELINES, SHARD_COUNTS)
+    def test_row_exact_after_add_shard(self, docs, pipeline, shards):
+        """Rebalancing adopts documents region by region, so a new
+        shard's insertion order is not ``_id`` order: neither the
+        scatter's merge order nor a shard's engine may lean on it."""
+        sharded, unsharded, _ = _servers(docs, shards)
+        sharded.router.add_shard()
+        sharded.router.add_shard()
+        for each in (pipeline, FOLD_PIPELINE):
+            scattered = sharded.data.collection.aggregate(each)
+            assert list(scattered) == list(
+                unsharded.data.collection.aggregate(each)
+            )
+            assert set(scattered.explain["shards"]) == set(sharded.router.shards)
+
+    def test_add_shard_breaks_insertion_order_not_rows(self):
+        docs = [{"k": "abcd"[i % 4], "v": i % 50 - 25} for i in range(120)]
+        sharded, unsharded, _ = _servers(docs, 2)
+        sharded.router.add_shard()
+        sharded.router.add_shard()
+        # the precondition the property above relies on
+        assert any(
+            [doc["_id"] for doc in shard.collection.iter_documents()]
+            != sorted(doc["_id"] for doc in shard.collection.iter_documents())
+            for shard in sharded.router.shards.values()
+        )
+        scattered = sharded.data.collection.aggregate(FOLD_PIPELINE)
+        assert scattered.explain["merge"] == "partial_folds"
+        assert list(scattered) == list(
+            unsharded.data.collection.aggregate(FOLD_PIPELINE)
         )
 
     @settings(max_examples=40, deadline=None)
