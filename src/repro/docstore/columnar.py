@@ -11,36 +11,42 @@ invalidate them.
 Representation
 --------------
 
-Each mirrored field becomes a :class:`_Column`:
+Each mirrored field becomes a :class:`_Column`, stored once: five numpy
+arrays with one row count (``column.rows``) —
 
 - ``codes`` — int64 dictionary codes, first-seen order; ``-1`` means
   the field is missing, ``-2`` means the value could not be encoded
   (unhashable sub-documents, arrays, NaN);
-- ``nums``/``numeric`` — a float64 shadow plus a validity mask for the
-  rows holding non-bool numbers (ranges, ``$sum``/``$avg``/...);
+- ``nums``/``numeric`` — a float64 shadow plus a bool validity mask for
+  the rows holding non-bool numbers (ranges, ``$sum``/``$avg``/...);
 - ``truthy`` — Python truthiness of present, non-null values (the
   ``$sum:{$cond:[{$ifNull:[..., False]}, 1, 0]}`` localized-share
-  pattern);
-- degradation flags (``has_list``, ``has_opaque``, ``has_nan``, integer
-  magnitude beyond 2**53, ...) that gate which kernels may touch the
-  column.
+  pattern); ``is_float`` — which numeric rows held floats;
+
+plus the ``encode``/``decode`` dictionary, which gives the codes their
+meaning (equality, grouping and ``$addToSet`` compare codes; outputs
+decode them), and degradation flags (``has_list``, ``has_opaque``,
+``has_nan``, integer magnitude beyond 2**53, ...) that gate which
+kernels may touch the column. Every builder writes a chunk at
+``[rows:rows+k]``; capacity doubles when a chunk does not fit, so a
+column reallocates O(log n) times, and reads are ``[:rows]`` views: no
+copy after a write. On a 40k-observation ``Traffic(11)`` corpus with all
+ten ``DataManager`` columns built (``tracemalloc``; 2 vCPU Xeon, Python
+3.11.7, numpy 2.4) the mirror holds 341 B/obs — arrays 190 (19 per
+column), dictionaries the rest, mostly ``_id``'s and ``taken_at``'s one
+entry per row — where per-row Python lists held 643 plus 190 of cached
+array copies, and the first read after a 500-row write re-concatenated
+every column (1.3 ms).
 
 ``_id`` may be mirrored (the sharded scatter's ``{"$min": "$_id"}``
 first-seen marker reads it), but a ``$match`` on ``_id`` is never
 vectorized: the planner's id step answers it with one dict probe.
 
 Columns are built on first read. The mirror keeps the row list; a
-column holds its first ``len(column.codes)`` rows and is extended to the
-end only when a plan reads it, so a field no kernel touches costs
-nothing. Measured with ``bench/run.py`` (``--seconds 3``, 2 vCPU Xeon,
-Python 3.11.7, numpy 2.4): building every column at the first query
-reads ``sharded_durable`` ``peak_rss_mb`` 169 MB against 159 built
-lazily (three seeds), and the lazy mirror with ``_id`` added reads
-lower than the old mirror, which built all columns and left ``_id``
-out, on every workload (medians of eight to ten seeds:
-``bulk_upload`` 178 → 158 MB, ``analyst_mixed`` 87 → 78,
-``perop_broker`` 109 → 100, ``live_map`` 70.2 → 68.6,
-``sharded_durable`` 160.7 → 158.6).
+column holds its first ``column.rows`` rows and is extended to the end
+only when a plan reads it, so a field no kernel touches costs nothing
+(``sharded_durable`` ``peak_rss_mb`` 169 MB built eagerly against 159
+lazily; see ARCHITECTURE.md "Columnar fast path").
 
 Staleness follows the same write-marker protocol as
 ``MaterializedAnalytics``: the mirror records the collection's
@@ -79,7 +85,7 @@ uses the row engines, and ``explain``/``middleware_stats`` report why.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 try:  # optional dependency: the docstore must work without numpy
     import numpy as np
@@ -113,6 +119,11 @@ _SUPPORTED_MATCH_OPS = frozenset(_RANGE_OPS) | {"$eq", "$ne", "$in", "$nin", "$e
 _TAIL_OPS = frozenset({"$limit", "$skip", "$count"})
 
 
+def _beyond_float64(value: Any) -> bool:
+    """A non-bool int ``float()`` would round: kernels compute in float64."""
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) > _EXACT_INT
+
+
 def _hashable(value: Any) -> bool:
     try:
         hash(value)
@@ -121,17 +132,26 @@ def _hashable(value: Any) -> bool:
     return True
 
 
+#: dtypes of a column's per-row arrays, in ``_Column.arrays()`` order
+_DTYPES = ("int64", "float64", "bool", "bool", "bool")
+
+
 class _Column:
-    """One mirrored field: dictionary codes plus numeric/truthy shadows."""
+    """One mirrored field: dictionary codes plus numeric/truthy shadows.
+
+    The five per-row arrays share one row count, ``rows``; entries past
+    it are spare capacity, which doubles when a chunk does not fit.
+    """
 
     __slots__ = (
         "path",
         "simple",
+        "rows",
         "codes",
         "nums",
         "numeric",
-        "is_float",
         "truthy",
+        "is_float",
         "decode",
         "encode",
         "has_list",
@@ -141,8 +161,6 @@ class _Column:
         "has_nonnum",
         "abs_int_total",
         "big_float",
-        "_arrays",
-        "_built",
     )
 
     def __init__(self, path: str) -> None:
@@ -151,11 +169,9 @@ class _Column:
         self.reset()
 
     def reset(self) -> None:
-        self.codes: List[int] = []
-        self.nums: List[float] = []
-        self.numeric: List[bool] = []
-        self.is_float: List[bool] = []
-        self.truthy: List[bool] = []
+        self.rows = 0
+        if np is not None:  # without numpy the mirror is disabled: no storage
+            self._resize(0)
         self.decode: List[Any] = []
         self.encode: Dict[Any, int] = {}
         self.has_list = False
@@ -167,8 +183,36 @@ class _Column:
         self.has_nonnum = False
         self.abs_int_total = 0
         self.big_float = False
-        self._arrays: Optional[Tuple[Any, ...]] = None
-        self._built = 0
+
+    # -- storage -----------------------------------------------------------------
+
+    def _resize(self, capacity: int) -> None:
+        """Move the per-row arrays to ``capacity`` entries, keeping the rows."""
+        fresh = [np.empty(capacity, dtype=dtype) for dtype in _DTYPES]
+        if self.rows:
+            for new, old in zip(fresh, self.arrays()):
+                new[: self.rows] = old
+        self.codes, self.nums, self.numeric, self.truthy, self.is_float = fresh
+
+    def _write(
+        self, k: int, codes: Any, nums: Any, numeric: Any, truthy: Any, is_float: Any
+    ) -> None:
+        """Store a ``k``-row chunk at rows ``[rows:rows+k]``; each argument
+        is a length-``k`` sequence or a scalar broadcast over the chunk."""
+        start, end = self.rows, self.rows + k
+        if end > len(self.codes):
+            self._resize(max(end, 2 * len(self.codes)))
+        self.codes[start:end] = codes
+        self.nums[start:end] = nums
+        self.numeric[start:end] = numeric
+        self.truthy[start:end] = truthy
+        self.is_float[start:end] = is_float
+        self.rows = end
+
+    @property
+    def nbytes(self) -> int:
+        """Allocated bytes of the per-row arrays, spare capacity included."""
+        return len(self.codes) * sum(np.dtype(dtype).itemsize for dtype in _DTYPES)
 
     # -- ingest -----------------------------------------------------------------
 
@@ -179,7 +223,7 @@ class _Column:
             value = get_path(doc, self.path)
             if is_missing(value):
                 value = _ABSENT
-        self._append_value(value)
+        self._extend_values([value])
 
     def extend(self, docs: Sequence[Dict[str, Any]]) -> None:
         """Bulk form of :meth:`append` over ``docs``, in order.
@@ -210,28 +254,22 @@ class _Column:
         elif dict in kinds and kinds <= {dict, type(None)}:
             self._extend_opaque(values)
         else:
-            for value in values:
-                self._append_value(value)
+            self._extend_values(values)
 
     def _extend_numeric(self, values: List[Any], has_int: bool, has_float: bool) -> None:
         try:
-            arr = np.asarray(values, dtype=np.float64)
+            nums = np.asarray(values, dtype=np.float64)
+            vectorizable = not (has_float and np.isnan(nums).any())
         except (OverflowError, ValueError, TypeError):
-            for value in values:
-                self._append_value(value)
+            vectorizable = False
+        if not vectorizable:  # past float range, or NaN (which gets no code)
+            self._extend_values(values)
             return
-        n = len(values)
-        self.truthy.extend((arr != 0.0).tolist())
-        self.nums.extend(arr.tolist())
-        self.numeric.extend([True] * n)
-        float_flags: Optional[List[bool]] = None
-        if has_float and not has_int:
-            self.is_float.extend([True] * n)
-        elif has_int and not has_float:
-            self.is_float.extend([False] * n)
-        else:
-            float_flags = [type(value) is float for value in values]
-            self.is_float.extend(float_flags)
+        is_float: Any = has_float
+        if has_int and has_float:
+            is_float = np.fromiter(
+                (type(value) is float for value in values), dtype=bool, count=len(values)
+            )
         if has_int:
             if has_float:
                 self.abs_int_total += sum(
@@ -241,39 +279,18 @@ class _Column:
                 )
             else:
                 self.abs_int_total += sum(map(abs, values))
-        any_nan = False
         if has_float:
-            nan_mask = np.isnan(arr)
-            any_nan = bool(nan_mask.any())
-            if any_nan:
-                self.has_nan = True
-            inf_mask = np.isinf(arr)
+            inf_mask = np.isinf(nums)
             if inf_mask.any():
                 self.has_inf = True
-            big = np.abs(arr) > float(_EXACT_INT)
+            big = np.abs(nums) > float(_EXACT_INT)
             big &= ~inf_mask
-            if float_flags is not None:
-                big &= np.asarray(float_flags, dtype=bool)
+            big &= is_float
             if big.any():
                 self.big_float = True
-        if any_nan:
-            encode = self.encode
-            decode = self.decode
-            codes = self.codes
-            for value in values:
-                if value != value:
-                    codes.append(_OPAQUE_CODE)
-                    continue
-                code = encode.get(value)
-                if code is None:
-                    code = len(decode)
-                    encode[value] = code
-                    decode.append(value)
-                codes.append(code)
-        else:
-            self._encode_bulk(values)
+        self._write(len(values), self._encode_bulk(values), nums, True, nums != 0.0, is_float)
 
-    def _encode_bulk(self, values: List[Any]) -> None:
+    def _encode_bulk(self, values: List[Any]) -> Any:
         """Dictionary-encode hashable ``values``: dedup to first-seen
         order at C level, register the unseen keys, then map the whole
         run through the encode table in one pass."""
@@ -283,26 +300,17 @@ class _Column:
             if value not in encode:
                 encode[value] = len(decode)
                 decode.append(value)
-        self.codes.extend(map(encode.__getitem__, values))
+        return np.fromiter(map(encode.__getitem__, values), dtype=np.int64, count=len(values))
 
     def _extend_hashable(self, values: List[Any], nonnum: bool) -> None:
-        n = len(values)
         if nonnum:
             self.has_nonnum = True
-        self.truthy.extend(map(bool, values))
-        self.nums.extend([0.0] * n)
-        self.numeric.extend([False] * n)
-        self.is_float.extend([False] * n)
-        self._encode_bulk(values)
+        truthy = np.fromiter(map(bool, values), dtype=bool, count=len(values))
+        self._write(len(values), self._encode_bulk(values), 0.0, False, truthy, False)
 
     def _extend_opaque(self, values: List[Any]) -> None:
-        n = len(values)
         self.has_nonnum = True
         self.has_opaque = True
-        self.truthy.extend(map(bool, values))
-        self.nums.extend([0.0] * n)
-        self.numeric.extend([False] * n)
-        self.is_float.extend([False] * n)
         encode = self.encode
         try:
             values.index(None)
@@ -314,58 +322,47 @@ class _Column:
                 none_code = len(self.decode)
                 encode[None] = none_code
                 self.decode.append(None)
-        self.codes.extend(
-            [_OPAQUE_CODE if value is not None else none_code for value in values]
-        )
+        codes = [_OPAQUE_CODE if value is not None else none_code for value in values]
+        truthy = np.fromiter(map(bool, values), dtype=bool, count=len(values))
+        self._write(len(values), codes, 0.0, False, truthy, False)
 
-    def _append_value(self, value: Any) -> None:
+    def _extend_values(self, values: List[Any]) -> None:
+        """The per-value path: each value's row, then one chunk write."""
+        codes, nums, numeric, truthy, is_float = zip(*map(self._row, values))
+        self._write(len(values), codes, nums, numeric, truthy, is_float)
+
+    def _row(self, value: Any) -> Tuple[int, float, bool, bool, bool]:
+        """``value``'s (code, num, numeric, truthy, is_float), updating
+        the dictionary and the degradation flags."""
         if value is _ABSENT:
-            self.codes.append(_MISSING_CODE)
-            self.nums.append(0.0)
-            self.numeric.append(False)
-            self.is_float.append(False)
-            self.truthy.append(False)
-            return
-        self.truthy.append(value is not None and bool(value))
+            return _MISSING_CODE, 0.0, False, False, False
+        truthy = value is not None and bool(value)
         if isinstance(value, list):
             # arrays match element-wise (multikey); no kernel models that
             self.has_list = True
-            self.codes.append(_OPAQUE_CODE)
-            self.nums.append(0.0)
-            self.numeric.append(False)
-            self.is_float.append(False)
-            return
+            return _OPAQUE_CODE, 0.0, False, truthy, False
+        num, numeric, is_float = 0.0, False, False
         is_bool = isinstance(value, bool)
         if not is_bool and isinstance(value, (int, float)):
             if value != value:  # NaN poisons dict encoding and min/max
                 self.has_nan = True
-                self.codes.append(_OPAQUE_CODE)
-                self.nums.append(float("nan"))
-                self.numeric.append(True)
-                self.is_float.append(True)
-                return
+                return _OPAQUE_CODE, float("nan"), True, truthy, True
+            numeric = True
             if isinstance(value, float):
-                self.is_float.append(True)
+                is_float = True
                 if value in (float("inf"), float("-inf")):
                     self.has_inf = True
                 elif value > _EXACT_INT or value < -_EXACT_INT:
                     self.big_float = True
-                self.nums.append(value)
+                num = value
             else:
-                self.is_float.append(False)
                 self.abs_int_total += value if value >= 0 else -value
                 try:
-                    self.nums.append(float(value))
+                    num = float(value)
                 except OverflowError:
                     self.abs_int_total = _EXACT_INT + 1
-                    self.nums.append(0.0)
-            self.numeric.append(True)
-        else:
-            if value is not None:
-                self.has_nonnum = True
-            self.nums.append(0.0)
-            self.numeric.append(False)
-            self.is_float.append(False)
+        elif value is not None:
+            self.has_nonnum = True
         # dictionary-encode; bools are tagged so True never merges with 1,
         # exactly as the row engine's _eq/group_key do
         key = ("$bool", value) if is_bool else value
@@ -373,13 +370,12 @@ class _Column:
             code = self.encode.get(key)
         except TypeError:
             self.has_opaque = True
-            self.codes.append(_OPAQUE_CODE)
-            return
+            return _OPAQUE_CODE, num, numeric, truthy, is_float
         if code is None:
             code = len(self.decode)
             self.encode[key] = code
             self.decode.append(value)
-        self.codes.append(code)
+        return code, num, numeric, truthy, is_float
 
     # -- capability flags --------------------------------------------------------
 
@@ -414,32 +410,14 @@ class _Column:
             or self.big_float
         )
 
-    # -- consolidated views ------------------------------------------------------
+    # -- reads -------------------------------------------------------------------
 
     def arrays(self) -> Tuple[Any, Any, Any, Any, Any]:
-        """(codes, nums, numeric, truthy, is_float) as numpy arrays."""
-        n = len(self.codes)
-        if self._arrays is None or self._built != n:
-            if self._arrays is not None and 0 < self._built < n:
-                start = self._built
-                codes, nums, numeric, truthy, is_float = self._arrays
-                self._arrays = (
-                    np.concatenate([codes, np.asarray(self.codes[start:], dtype=np.int64)]),
-                    np.concatenate([nums, np.asarray(self.nums[start:], dtype=np.float64)]),
-                    np.concatenate([numeric, np.asarray(self.numeric[start:], dtype=bool)]),
-                    np.concatenate([truthy, np.asarray(self.truthy[start:], dtype=bool)]),
-                    np.concatenate([is_float, np.asarray(self.is_float[start:], dtype=bool)]),
-                )
-            else:
-                self._arrays = (
-                    np.asarray(self.codes, dtype=np.int64),
-                    np.asarray(self.nums, dtype=np.float64),
-                    np.asarray(self.numeric, dtype=bool),
-                    np.asarray(self.truthy, dtype=bool),
-                    np.asarray(self.is_float, dtype=bool),
-                )
-            self._built = n
-        return self._arrays
+        """(codes, nums, numeric, truthy, is_float): views of the stored rows."""
+        n = self.rows
+        return (
+            self.codes[:n], self.nums[:n], self.numeric[:n], self.truthy[:n], self.is_float[:n]
+        )
 
     def value_at(self, row: int) -> Any:
         """The stored value at ``row``; missing resolves to None, as the
@@ -556,7 +534,7 @@ class ColumnarMirror:
         self._lock = concurrency.make_rlock()
         self._columns: Dict[str, _Column] = {f: _Column(f) for f in self.fields}
         #: the mirrored rows, in order; a column holds the first
-        #: ``len(column.codes)`` of them and catches up when a plan reads it
+        #: ``column.rows`` of them and catches up when a plan reads it
         self._doc_refs: List[Dict[str, Any]] = []
         #: inserted docs accepted (marker verified) but not yet moved
         #: into ``_doc_refs`` — the write path stays O(1) per document.
@@ -642,9 +620,8 @@ class ColumnarMirror:
         refs = self._doc_refs
         for field in fields:
             column = self._columns[field]
-            built = len(column.codes)
-            if built < len(refs):
-                column.extend(refs[built:])
+            if column.rows < len(refs):
+                column.extend(refs[column.rows :])
         return rebuilt
 
     def info(self) -> Dict[str, Any]:
@@ -665,6 +642,11 @@ class ColumnarMirror:
                 "invalidations": self.invalidations,
                 "kernel_hits": self.kernel_hits,
                 "fallbacks": self.fallbacks,
+                "column_bytes": (
+                    sum(column.nbytes for column in self._columns.values())
+                    if self.enabled
+                    else 0
+                ),
             }
 
     # -- dispatch (collection read lock held) ------------------------------------
@@ -726,6 +708,8 @@ class ColumnarMirror:
         probe = index
         while probe < len(stages) and stages[probe][0] == "$addFields":
             parsed = self._derived_supported(stages[probe][1], fields)
+            if isinstance(parsed, str):
+                return None, parsed
             if parsed is None:
                 break
             derived.update(parsed)
@@ -803,6 +787,8 @@ class ColumnarMirror:
                             return "range operand not vectorized"
                         if isinstance(operand, float) and operand != operand:
                             return "NaN range operand"
+                        if _beyond_float64(operand):
+                            return "range operand beyond float64-exact integers"
                     elif op in ("$eq", "$ne"):
                         if isinstance(operand, (list, dict)) or not _hashable(operand):
                             return "container equality not vectorized"
@@ -814,7 +800,9 @@ class ColumnarMirror:
 
     def _derived_supported(
         self, spec: Any, fields: Set[str]
-    ) -> Optional[Dict[str, Tuple[str, float]]]:
+    ) -> Union[Dict[str, Tuple[str, float]], str, None]:
+        """The derived fields of a covered ``$addFields``; None when the
+        stage is not that shape, a reason when it is but cannot run."""
         if not isinstance(spec, dict) or not spec:
             return None
         out: Dict[str, Tuple[str, float]] = {}
@@ -828,19 +816,20 @@ class ColumnarMirror:
             ):
                 return None
             parsed = self._floor_div(expr)
-            if parsed is None:
-                return None
+            if parsed is None or isinstance(parsed, str):
+                return parsed
             source, divisor = parsed
             if source not in self._columns:
                 return None
             fields.add(source)
-            out[name] = (source, float(divisor))
+            out[name] = (source, divisor)
         return out
 
-    def _floor_div(self, expr: Any) -> Optional[Tuple[str, float]]:
+    def _floor_div(self, expr: Any) -> Union[Tuple[str, float], str, None]:
         """Match ``{"$floor": {"$divide": [src, k]}}`` where ``src`` is a
         mirrored field reference, optionally wrapped in a zero-default
-        ``$ifNull`` (missing already folds to 0 in both engines)."""
+        ``$ifNull`` (missing already folds to 0 in both engines); a
+        reason instead when ``k`` is an int ``float()`` would round."""
         if not isinstance(expr, dict) or set(expr) != {"$floor"}:
             return None
         inner = expr["$floor"]
@@ -869,6 +858,8 @@ class ColumnarMirror:
         path = source[1:]
         if path.startswith("$"):
             return None
+        if _beyond_float64(divisor):
+            return "$divide divisor beyond float64-exact integers"
         return path, float(divisor)
 
     def _group_supported(

@@ -312,6 +312,7 @@ class ShardedObservations:
             ),
             "sharded": True,
             "rows": sum(info.get("rows", 0) or 0 for info in per_shard.values()),
+            "column_bytes": sum(info.get("column_bytes", 0) for info in per_shard.values()),
             "shards": per_shard,
         }
 

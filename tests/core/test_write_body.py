@@ -254,7 +254,7 @@ def _leaves(*keys):
 
 _COLUMNAR = _leaves(
     "enabled", "reason", "fields", "rows", "fresh", "rebuilds", "appends",
-    "invalidations", "kernel_hits", "fallbacks",
+    "invalidations", "kernel_hits", "fallbacks", "column_bytes",
 )  # fmt: skip
 
 #: what both topologies share, key for key
@@ -320,7 +320,7 @@ class TestMiddlewareStatsKeyTree:
             **_COMMON_TREE,
             "materialized": {**_MATERIALIZED, "merged_shards": None},
             "columnar": {
-                **_leaves("enabled", "fresh", "sharded", "rows"),
+                **_leaves("enabled", "fresh", "sharded", "rows", "column_bytes"),
                 "shards": {name: _COLUMNAR for name in _SHARD_NAMES},
             },
             "durability": {

@@ -7,6 +7,7 @@ how the mirror tracks collection writes, and that everything degrades
 to the row engines when numpy is missing.
 """
 
+import math
 import threading
 
 import pytest
@@ -212,7 +213,7 @@ class TestLazyColumns:
 
     @staticmethod
     def _built(mirror):
-        return {field: len(mirror._columns[field].codes) for field in mirror.fields}
+        return {field: mirror._columns[field].rows for field in mirror.fields}
 
     def test_columns_are_built_on_first_read(self):
         collection = Collection("c")
@@ -226,6 +227,8 @@ class TestLazyColumns:
         assert self._built(mirror) == {
             "_id": 0, "model": 40, "noise_dba": 40, "taken_at": 0, "location": 0,
         }
+        # one 40-row chunk each: int64 codes, float64 nums, three bool masks
+        assert collection.columnar_info()["column_bytes"] == 2 * 40 * (8 + 8 + 3)
         # a later kernel over other columns builds them, from row 0
         collection.insert_many(_docs(5))
         result = _check(collection, GROUP_PIPELINE)
@@ -247,6 +250,79 @@ class TestLazyColumns:
 
 
 @needs_numpy
+class TestInPlaceGrowth:
+    COUNT = [{"$match": {"noise_dba": {"$gte": 0.0}}}, {"$count": "n"}]
+
+    def test_small_write_keeps_the_buffer(self):
+        import numpy as np
+
+        collection = _mirrored()
+        column = collection._columnar._columns["noise_dba"]
+        # the first read stores one 40-row chunk; the 41st row doubles it to 80
+        _check(collection, self.COUNT)
+        collection.insert_one({"model": "m9", "noise_dba": 1.0})
+        _check(collection, self.COUNT)
+        for i in range(3):
+            before = column.arrays()[0]
+            collection.insert_one({"model": "m9", "noise_dba": float(i)})
+            assert _check(collection, self.COUNT).explain["strategy"] == "columnar"
+            after = column.arrays()[0]
+            assert after.size == before.size + 1
+            assert (after[: before.size] == before).all()
+            assert np.shares_memory(before, after)
+
+    def test_reallocations_are_logarithmic(self):
+        collection = _mirrored(_docs(1))
+        column = collection._columnar._columns["noise_dba"]
+        rounds = 512
+        buffers = []  # held, so no buffer's id is reused
+        for i in range(rounds):
+            collection.insert_one({"model": "m0", "noise_dba": float(i)})
+            result = collection.aggregate(self.COUNT)
+            assert list(result) == [{"n": i + 2}]
+            codes = column.arrays()[0]
+            root = codes if codes.base is None else codes.base
+            if not any(root is seen for seen in buffers):
+                buffers.append(root)
+        assert result.explain["strategy"] == "columnar"
+        assert len(buffers) <= math.log2(rounds) + 2
+
+
+@needs_numpy
+class TestExactIntLiterals:
+    """Int literals past 2**53 round in float64; the kernels decline them."""
+
+    @staticmethod
+    def _collection(values):
+        collection = Collection("c")
+        collection.enable_columnar(["f"])
+        collection.insert_many([{"f": value} for value in values])
+        return collection
+
+    def test_range_operand_past_two_to_the_53(self):
+        collection = self._collection([1.0, 2.0**53])
+        result = _check(collection, [{"$match": {"f": {"$lt": 2**53 + 1}}}, {"$count": "n"}])
+        assert list(result) == [{"n": 2}]
+        assert "float64-exact" in result.explain["columnar"]["reason"]
+
+    def test_range_operand_past_float_range(self):
+        collection = self._collection([1.0, 2.0])
+        result = _check(collection, [{"$match": {"f": {"$lt": 10**400}}}, {"$count": "n"}])
+        assert list(result) == [{"n": 2}]
+        assert "float64-exact" in result.explain["columnar"]["reason"]
+
+    def test_divisor_past_two_to_the_53(self):
+        collection = self._collection([2**53])
+        pipeline = [
+            {"$addFields": {"b": {"$floor": {"$divide": ["$f", 2**53 + 1]}}}},
+            {"$group": {"_id": "$b", "n": {"$count": {}}}},
+        ]
+        result = _check(collection, pipeline)
+        assert list(result) == [{"_id": 0, "n": 1}]
+        assert "float64-exact" in result.explain["columnar"]["reason"]
+
+
+@needs_numpy
 class TestBulkColumnBuild:
     def test_extend_matches_append_on_mixed_values(self):
         docs = [
@@ -263,16 +339,20 @@ class TestBulkColumnBuild:
             {"f": 10**400},
             {"f": 2.0**60},
         ]
-        for shape in (docs, docs[:2], docs[2:4], docs[8:10], []):
+        for shape in (docs, docs[:2], docs[2:4], docs[5:7], docs[8:10], []):
             one = _Column("f")
             for doc in shape:
                 one.append(doc)
             bulk = _Column("f")
             bulk.extend(shape)
+            assert one.rows == bulk.rows == len(shape)
+            names = ("codes", "nums", "numeric", "truthy", "is_float")
+            for name, left, right in zip(names, one.arrays(), bulk.arrays()):
+                assert left.dtype == right.dtype, name
+                assert repr(left.tolist()) == repr(right.tolist()), name
             for attribute in (
-                "codes", "nums", "numeric", "is_float", "truthy", "decode",
-                "has_list", "has_opaque", "has_nan", "has_inf", "has_nonnum",
-                "abs_int_total", "big_float",
+                "decode", "has_list", "has_opaque", "has_nan", "has_inf",
+                "has_nonnum", "abs_int_total", "big_float",
             ):
                 left, right = getattr(one, attribute), getattr(bulk, attribute)
                 assert repr(left) == repr(right), attribute
