@@ -429,6 +429,10 @@ class DataManager(Packaging):
         """The backing store's journal state."""
         return self._store.durability_info()
 
+    def sharding_stats(self) -> Dict[str, Any]:
+        """The router's topology section; an unsharded plane has none."""
+        return {"enabled": False}
+
     def delete_contributor_data(self, app_id: str, user_id: str) -> int:
         """CNIL right-to-erasure: drop a contributor's observations."""
         pseudonym = self._privacy.pseudonym(user_id)

@@ -83,9 +83,10 @@ class GoFlowServer:
             the sync/rotation defaults (group commit, segment size).
         sharding: opt-in horizontal partitioning — a shard count (or a
             :class:`~repro.sharding.router.ShardingConfig`) splits the
-            observation plane across that many store+broker shards
-            behind a :class:`~repro.sharding.router.ShardRouter`
-            keyed by each observation's region. ``self.data`` becomes
+            observation plane across that many shards (a store and a
+            ``DataManager`` each) behind a
+            :class:`~repro.sharding.router.ShardRouter` keyed by each
+            observation's region. ``self.data`` becomes
             the router; accounts, jobs and tokens stay on the server's
             own store. With ``durable`` the shards journal under
             ``data_dir/shards/<name>``.
@@ -161,12 +162,9 @@ class GoFlowServer:
         # subscriptions (no phantom cursors); consumers re-subscribe
         # and stream post-recovery deltas only.
         self.streaming = SubscriptionManager(clock=self._clock, cell_m=cell_m)
-        if self.router is not None:
-            # per-shard delta streams come back through the router in
-            # global _id order (the coordinator-side merge).
-            self.router.set_delta_listener(self.streaming.on_stored)
-        else:
-            self.data.add_ingest_listener(self.streaming.on_stored)
+        # one delivery hook on either topology: it fires under the data
+        # plane's ingest lock, so fan-out order is _id order.
+        self.data.add_ingest_listener(self.streaming.on_stored)
         # the post-confirm broker tap: counts GoFlow-queue deliveries
         # the broker took responsibility for — by the time it fires,
         # the inline consumer already ingested and the matching events
@@ -265,11 +263,7 @@ class GoFlowServer:
             "materialized": self.data.materialized.info(),
             "columnar": self.data.collection.columnar_info(),
             "durability": self.data.durability_info(),
-            "sharding": (
-                self.router.sharding_stats()
-                if self.router is not None
-                else {"enabled": False}
-            ),
+            "sharding": self.data.sharding_stats(),
             "streaming": self.streaming.stats(),
         }
 
@@ -564,9 +558,7 @@ class GoFlowServer:
         return self.data.durability_info()
 
     def _r_sharding(self, request: Request, path: Dict[str, str], principal) -> Any:
-        if self.router is None:
-            return {"enabled": False}
-        return self.router.sharding_stats()
+        return self.data.sharding_stats()
 
     def _r_add_shard(self, request: Request, path: Dict[str, str], principal) -> Any:
         if self.router is None:

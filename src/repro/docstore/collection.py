@@ -765,7 +765,9 @@ class Collection:
         else:
             with self._mutex:
                 self.stats.index_hits += 1
-            for doc_id in sorted(candidate_ids, key=lambda i: (str(type(i)), str(i))):
+            # _id order, as a scan (and aggregate's index path) yields:
+            # a later stable sort then breaks ties the same on every path
+            for doc_id in sorted(candidate_ids, key=id_order_key):
                 doc = self._docs.get(doc_id)
                 if doc is not None and matches(doc, filter_doc):
                     yield doc

@@ -1,21 +1,21 @@
 """The shard router: consistent-hash ingest fan-out + scatter-gather.
 
-Each :class:`Shard` is a full vertical slice of the middleware data
-plane — its own :class:`~repro.docstore.store.DocumentStore` (with its
-own WAL when durable), its own broker (a per-shard topic exchange for
-the region's subscription plane), and its own
-:class:`~repro.core.datamgmt.DataManager` (privacy scrub, dedup
-ledger, materialized analytics, columnar mirror).
+Each :class:`Shard` is a vertical slice of the middleware data plane —
+its own :class:`~repro.docstore.store.DocumentStore` (with its own WAL
+when durable) and its own :class:`~repro.core.datamgmt.DataManager`
+(privacy scrub, dedup ledger, materialized analytics, columnar mirror).
 
 :class:`ShardRouter` keeps the shards behind the ``DataManager``
 surface the server already speaks:
 
 - **Ingest** routes by the observation's region key on a consistent
-  hash ring. The router allocates globally monotonic ``_id``s (its own
-  locked state), so the union of all shards has a total insertion
-  order and scatter-gather reads can be row-exact against an unsharded
-  store. ``ingest_many`` splits a batch by owning shard with a
-  single-shard fast path.
+  hash ring. The router allocates globally monotonic ``_id``s, so the
+  union of all shards has a total insertion order and scatter-gather
+  reads can be row-exact against an unsharded store. ``ingest_many``
+  splits a batch by owning shard and holds the router's
+  ``ingest_lock`` from id allocation to its ingest listeners — the
+  ``DataManager`` listener contract, so the delta stream arrives in
+  ``_id`` order on both topologies.
 - **Reads** scatter to every shard and merge on the coordinator:
   ``find``/``retrieve`` re-establish the global ``_id`` order before
   re-applying sort/limit; ``aggregate`` runs a partial ``$group``
@@ -39,8 +39,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import concurrency
-from repro.broker.broker import Broker
-from repro.broker.exchange import ExchangeType
 from repro.core.datamgmt import (
     DEFAULT_DEDUP_CAPACITY,
     DataManager,
@@ -116,65 +114,26 @@ class ShardingConfig:
 
 
 class Shard:
-    """One vertical slice: store + broker + data manager."""
+    """One vertical slice: a store and the data manager over it. Its
+    ``DataManager`` carries no ingest listener — the router fires the
+    one delta stream itself, in global ``_id`` order."""
 
-    def __init__(
-        self, name: str, store: DocumentStore, broker: Broker, data: DataManager
-    ) -> None:
+    def __init__(self, name: str, store: DocumentStore, data: DataManager) -> None:
         self.name = name
         self.store = store
-        self.broker = broker
         self.data = data
-        #: topic exchange for this shard's subscription plane
-        self.exchange = f"SHARD.{name}"
-        #: bound-queue count; publish is skipped while zero
-        self.subscriptions = 0
-        self._channel = None
-        broker.declare_exchange(self.exchange, ExchangeType.TOPIC)
 
     @property
     def collection(self):
         return self.data.collection
 
-    def publish(self, routing_key: str, body: Dict[str, Any]) -> None:
-        if self._channel is None:
-            self._channel = self.broker.connect(f"router:{self.name}").channel()
-        self._channel.basic_publish(self.exchange, routing_key, body)
-
-    def notify(
-        self, region: str, app_id: str, document: Dict[str, Any], doc_id: Any
-    ) -> None:
-        datatype = document.get("datatype") or "Observation"
-        self.publish(
-            f"{region}.{datatype}",
-            {
-                "_id": doc_id,
-                "region": region,
-                "app_id": app_id,
-                "datatype": datatype,
-                "taken_at": document.get("taken_at"),
-            },
-        )
-
     # -- router seam (bench/trace.py times these three by name) -----------
 
     def submit_ingest_many(
-        self,
-        app_id: str,
-        documents: List[Dict[str, Any]],
-        owned: bool,
-        region_for: Optional[Callable[[Dict[str, Any]], str]] = None,
+        self, app_id: str, documents: List[Dict[str, Any]], owned: bool
     ) -> List[Optional[Any]]:
-        """Apply a sub-batch; region-feed notifications ride the same
-        ingest-lock acquisition as the ledger (feed order = store
-        order)."""
-        with self.data.ingest_lock:
-            ids = self.data.ingest_many(app_id, documents, owned=owned)
-            if self.subscriptions and region_for is not None:
-                for doc, doc_id in zip(documents, ids):
-                    if doc_id is not None:
-                        self.notify(region_for(doc), app_id, doc, doc_id)
-        return ids
+        """Apply a sub-batch through this shard's write body."""
+        return self.data.ingest_many(app_id, documents, owned=owned)
 
     def submit_partial_fold(self, plan: Any) -> AggregationResult:
         """The partial ``$group`` through this shard's own engine
@@ -448,22 +407,23 @@ class ShardRouter(Packaging):
         #: topology lock: ingest/queries take read, rebalancing takes
         #: write — a shard can never disappear mid-request.
         self._topology = concurrency.make_rwlock()
-        #: the router's *own* mutable state — the global ``_id``
-        #: allocator and routing counters. Distinct from any shard lock:
-        #: two threads ingesting into different shards still contend
-        #: only here, for a few increments.
-        self._state_lock = concurrency.make_rlock()
+        #: public, re-entrant: ``ingest_many`` holds it from ``_id``
+        #: allocation through every shard sub-batch to the listeners, so
+        #: listener order is ``_id`` order across concurrent callers —
+        #: ``DataManager.ingest_lock``'s guarantee, fleet-wide. Also
+        #: guards the routing counters. Lock order: topology (read) →
+        #: this → shard ingest lock.
+        self.ingest_lock = concurrency.make_rlock()
         self._next_id = 1
-        #: coordinator-side stored-observation listener (the streaming
-        #: plane): called with ``(document, stored_id)`` pairs merged
-        #: back into global ``_id`` order, one call per ingest/batch.
-        self._delta_listener: Optional[
+        self._ingest_listeners: List[
             Callable[[str, List[Tuple[Dict[str, Any], Any]]], None]
-        ] = None
+        ] = []
         self._routes: Dict[str, int] = {}
         self._fanout_queries = 0
         self._single_shard_batches = 0
         self._split_batches = 0
+        #: rebalance counters: written under the topology write lock,
+        #: so readers holding its read side need nothing more
         self._rebalance_moves = 0
         self._handoffs = 0
         self._repaired = 0
@@ -524,7 +484,7 @@ class ShardRouter(Packaging):
             data.restore_ledger(
                 state.get("dedup_ledger", []), state.get("dedup_regions")
             )
-        return Shard(name, store, Broker(clock=self._clock), data)
+        return Shard(name, store, data)
 
     def _advance_id_past_existing(self) -> None:
         top = 0
@@ -532,9 +492,8 @@ class ShardRouter(Packaging):
             shard_top = shard.max_int_id()
             if shard_top > top:
                 top = shard_top
-        with self._state_lock:
-            if self._next_id <= top:
-                self._next_id = top + 1
+        if self._next_id <= top:
+            self._next_id = top + 1
 
     def _shards_snapshot(self) -> List[Shard]:
         with self._topology.read():
@@ -558,57 +517,29 @@ class ShardRouter(Packaging):
         with self._topology.read():
             return self._ring.node_for(self.region_for(document))
 
-    # -- subscription plane ---------------------------------------------------
-
-    def subscribe(
-        self, shard_name: str, queue_name: str, pattern: str = "#"
-    ) -> Broker:
-        """Bind ``queue_name`` on a shard's broker to its region feed.
-
-        Stored observations on that shard then publish a notification
-        (``{"_id", "region", "app_id", "datatype", "taken_at"}``) with
-        routing key ``<region>.<datatype>`` — id-and-coordinates only,
-        never the document body, so the subscription plane cannot leak
-        what the privacy scrub removed.
-        """
-        with self._topology.read():
-            shard = self._shard(shard_name)
-            shard.broker.declare_queue(queue_name)
-            shard.broker.bind_queue(shard.exchange, queue_name, pattern)
-            with self._state_lock:
-                shard.subscriptions += 1
-            return shard.broker
-
     def _shard(self, name: str) -> Shard:
         shard = self._shards.get(name)
         if shard is None:
             raise ValidationError(f"unknown shard {name!r}")
         return shard
 
-    def set_delta_listener(
-        self,
-        listener: Optional[
-            Callable[[str, List[Tuple[Dict[str, Any], Any]]], None]
-        ],
-    ) -> None:
-        """Install the coordinator-side stored-observation listener.
-
-        The per-shard delta streams are routed back through the router:
-        every batch's stored documents are merged into **global ``_id``
-        order** before the listener runs, so one ``ingest``/
-        ``ingest_many`` call delivers one ``_id``-ordered stream no
-        matter how many shards stored the pieces.
-        The guarantee is **per call**: the listener fires outside the
-        shard ingest locks, so two concurrent ingest calls may deliver
-        their (individually ordered) batches in either order —
-        downstream consumers that need a total order must impose it
-        themselves. The listener receives the router-held wire forms —
-        the event projection is ingest-stable, so wire vs stored makes
-        no difference.
-        """
-        self._delta_listener = listener
-
     # -- ingest ---------------------------------------------------------------
+
+    def add_ingest_listener(
+        self,
+        listener: Callable[[str, List[Tuple[Dict[str, Any], Any]]], None],
+    ) -> None:
+        """Register a stored-observation listener (the delta stream).
+
+        ``DataManager.add_ingest_listener``'s contract:
+        ``listener(app_id, [(document, stored_id), ...])`` runs under
+        :attr:`ingest_lock`, once per call, for stored observations
+        only — never for a deduplicated delivery — so listener order is
+        ``_id`` order across the fleet. The documents are the
+        router-held forms the ids were stamped on; the event projection
+        is ingest-stable, so they project exactly like stored forms.
+        """
+        self._ingest_listeners.append(listener)
 
     def ingest(self, app_id: str, document: Dict[str, Any]) -> Any:
         """Route one observation to its region's shard: the batch of
@@ -624,20 +555,19 @@ class ShardRouter(Packaging):
         copies unless the batch is ``owned``) before the shards'
         DataManagers run, so ids are unique and ordered across the
         whole fleet. A deduplicated delivery burns its id — gaps are
-        harmless, only the relative order matters. A batch whose
-        documents all route to one shard is one sub-batch and one
-        ingest-lock acquisition, exactly like the unsharded path.
+        harmless, only the relative order matters. Ids are stamped in
+        input order, so the stored pairs the listeners receive are
+        already in ``_id`` order.
         """
         for document in documents:
             if not isinstance(document, dict):
                 raise ValidationError(
                     f"observation must be a dict, got {type(document).__name__}"
                 )
-        with self._topology.read():
+        with self._topology.read(), self.ingest_lock:
             docs = documents if owned else [dict(doc) for doc in documents]
-            with self._state_lock:
-                start = self._next_id
-                self._next_id += len(docs)
+            start = self._next_id
+            self._next_id += len(docs)
             buckets: Dict[str, Tuple[List[Dict[str, Any]], List[int]]] = {}
             for index, doc in enumerate(docs):
                 doc["_id"] = start + index
@@ -647,33 +577,24 @@ class ShardRouter(Packaging):
                     bucket = buckets[name] = ([], [])
                 bucket[0].append(doc)
                 bucket[1].append(index)
-            with self._state_lock:
-                for name, (sub, _) in buckets.items():
-                    self._routes[name] = self._routes.get(name, 0) + len(sub)
-                if len(buckets) == 1:
-                    self._single_shard_batches += 1
-                elif buckets:
-                    self._split_batches += 1
+            for name, (sub, _) in buckets.items():
+                self._routes[name] = self._routes.get(name, 0) + len(sub)
+            if len(buckets) == 1:
+                self._single_shard_batches += 1
+            elif buckets:
+                self._split_batches += 1
             results: List[Optional[Any]] = [None] * len(docs)
             for name in sorted(buckets):
                 sub, slots = buckets[name]
-                ids = self._shard(name).submit_ingest_many(
-                    app_id, sub, owned, region_for=self.region_for
-                )
+                ids = self._shard(name).submit_ingest_many(app_id, sub, owned)
                 for slot, doc_id in zip(slots, ids):
                     results[slot] = doc_id
-            if self._delta_listener is not None:
-                # global-order merge: the batch scattered by shard, the
-                # delta stream re-assembles in router-stamped ``_id``
-                # order — one ordered stream across the whole fleet.
-                stored_pairs = [
-                    (doc, doc_id)
-                    for doc, doc_id in zip(docs, results)
-                    if doc_id is not None
-                ]
-                stored_pairs.sort(key=lambda pair: pair[0]["_id"])
-                if stored_pairs:
-                    self._delta_listener(app_id, stored_pairs)
+            stored_pairs = [
+                (doc, doc_id) for doc, doc_id in zip(docs, results) if doc_id is not None
+            ]
+            if stored_pairs:
+                for listener in self._ingest_listeners:
+                    listener(app_id, stored_pairs)
             return results
 
     # -- reads ----------------------------------------------------------------
@@ -709,7 +630,7 @@ class ShardRouter(Packaging):
                     gathered.extend(documents)
                 gathered.sort(key=global_order_key)
                 rows = compile_pipeline(pipeline).run(gathered)
-        with self._state_lock:
+        with self.ingest_lock:
             self._fanout_queries += 1
         return AggregationResult(
             rows,
@@ -777,12 +698,11 @@ class ShardRouter(Packaging):
         return sum(shard.data.dedup_hits for shard in self._shards_snapshot())
 
     def reliability_snapshot(self) -> Dict[str, Any]:
-        """``DataManager.reliability_snapshot`` with every shard's
-        ingest lock held, so the merged counters are as coherent as one
-        shard's would be."""
-        with self._topology.read(), ExitStack() as stack:
-            for name in sorted(self._shards):
-                stack.enter_context(self._shards[name].data.ingest_lock)
+        """``DataManager.reliability_snapshot`` under the router's
+        ingest lock — every shard's counters and ledger move only inside
+        it (or under the topology write lock), so the merged counters
+        are as coherent as one shard's would be."""
+        with self._topology.read(), self.ingest_lock:
             return {
                 "ingested": self.ingested,
                 "deduped": self.dedup_hits,
@@ -790,24 +710,20 @@ class ShardRouter(Packaging):
             }
 
     def sharding_stats(self) -> Dict[str, Any]:
-        with self._topology.read():
+        with self._topology.read(), self.ingest_lock:
             per_shard: Dict[str, Any] = {}
             for name in sorted(self._shards):
                 shard = self._shards[name]
-                with shard.data.ingest_lock:
-                    per_shard[name] = {
-                        "documents": len(shard.collection),
-                        "ingested": shard.data.ingested,
-                        "deduped": shard.data.dedup_hits,
-                        "ledger": shard.data.dedup_info()["size"],
-                        "subscriptions": shard.subscriptions,
-                    }
-            ring = {"nodes": self._ring.nodes, "vnodes": self._ring.vnodes}
-        with self._state_lock:
+                per_shard[name] = {
+                    "documents": len(shard.collection),
+                    "ingested": shard.data.ingested,
+                    "deduped": shard.data.dedup_hits,
+                    "ledger": shard.data.dedup_info()["size"],
+                }
             return {
                 "enabled": True,
                 "shards": per_shard,
-                "ring": ring,
+                "ring": {"nodes": self._ring.nodes, "vnodes": self._ring.vnodes},
                 "router": {
                     "routes": dict(self._routes),
                     "fanout_queries": self._fanout_queries,
@@ -846,9 +762,8 @@ class ShardRouter(Packaging):
             for src_name in sorted(self._shards):
                 if src_name != name:
                     moved += self._handoff_misplaced(self._shards[src_name])
-            with self._state_lock:
-                self._rebalance_moves += moved
-                self._handoffs += 1
+            self._rebalance_moves += moved
+            self._handoffs += 1
             return {"shard": name, "moved": moved, "shards": sorted(self._shards)}
 
     def remove_shard(self, name: str) -> Dict[str, Any]:
@@ -870,9 +785,8 @@ class ShardRouter(Packaging):
                 if live.exists():
                     live.rename(retired)
                     shutil.rmtree(retired, ignore_errors=True)
-            with self._state_lock:
-                self._rebalance_moves += moved
-                self._handoffs += 1
+            self._rebalance_moves += moved
+            self._handoffs += 1
             return {"shard": name, "moved": moved, "shards": sorted(self._shards)}
 
     def _handoff_misplaced(self, src: Shard) -> int:
@@ -955,8 +869,7 @@ class ShardRouter(Packaging):
                     src.data.remove_documents([doc.get("_id")])
                     moved += 1
                 self._handoff_ledger_orphans(src)
-            with self._state_lock:
-                self._repaired += moved
+            self._repaired += moved
 
     # -- durability -----------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """The live subscription plane: continuous queries with backpressure.
 
 One :class:`SubscriptionManager` per server. Registration installs a
-standing :class:`~repro.streaming.filters.FilterSpec`; the ingest path
-(``DataManager`` listener unsharded, router delta listener sharded)
-calls :meth:`SubscriptionManager.on_stored` with every *stored*
-observation, and the manager fans matching events out to per-subscriber
-bounded outboxes — the same drop-oldest
+standing :class:`~repro.streaming.filters.FilterSpec`; the data plane's
+one ingest listener (``DataManager`` or ``ShardRouter``, fired under its
+ingest lock) calls :meth:`SubscriptionManager.on_stored` with every
+*stored* observation in ``_id`` order, and the manager fans matching
+events out to per-subscriber bounded outboxes — the same drop-oldest
 :class:`~repro.client.buffer.ObservationBuffer` machinery the phone
 uses, pointed the other way.
 
@@ -385,9 +385,9 @@ class SubscriptionManager:
         """Fan freshly stored observations out to matching outboxes.
 
         ``pairs`` are ``(document, stored_id)`` in insertion order —
-        the unsharded ingest listener passes stored forms, the router's
-        delta listener wire forms; the event projection is identical
-        either way. The whole fan-out runs under the manager lock so
+        ``DataManager`` passes stored forms, ``ShardRouter`` the forms
+        it stamped the ids on; the event projection is identical either
+        way. The whole fan-out runs under the manager lock so
         per-subscription cursors stay contiguous.
 
         Cost per observation: ``region_of``, the two in-place tile

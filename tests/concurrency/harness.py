@@ -462,7 +462,6 @@ class ThreadedSoak:
                 key=lambda d: d["_id"],
             )
         ]
-        unsharded = getattr(self.server, "router", None) is None
         for position, sub_id in enumerate(self._subscriber_ids):
             if position == 0:
                 events = list(self._live_events)
@@ -496,15 +495,10 @@ class ThreadedSoak:
                     f"(received {len(received)} events, "
                     f"store holds {len(expected)})"
                 )
-            if unsharded:
-                # the unsharded listener runs inside the ingest lock, so
-                # fan-out order *is* insertion order: _ids must arrive
-                # strictly increasing. (The sharded router emits single
-                # ingests outside the shard lock, so only the set/row
-                # equality above is promised there.)
-                ids = [event["_id"] for event in events]
-                if ids != sorted(ids):
-                    problems.append(
-                        f"{sub_id}: events out of insertion order"
-                    )
+            # the listener runs inside the data plane's ingest lock (the
+            # router's on a sharded server), so fan-out order *is*
+            # insertion order: _ids must arrive strictly increasing.
+            ids = [event["_id"] for event in events]
+            if ids != sorted(ids):
+                problems.append(f"{sub_id}: events out of insertion order")
         return problems

@@ -10,7 +10,9 @@ protection is exercised deterministically:
 - the stale materialized view (a write lands between the rebuild's
   marker read and its document snapshot);
 - the sorted index's read-time fold (two readers sharing the read lock
-  both order the keys a write left pending).
+  both order the keys a write left pending);
+- the router's delivery hook (two ingests on different shards reach
+  the subscription plane out of ``_id`` order).
 
 Each scenario runs twice: with real locks the victim thread is held
 out of the window (rendezvous times out, behaviour stays correct), and
@@ -326,6 +328,59 @@ class TestSortedIndexFoldRace:
         assert partition.keys == sorted(set(partition.keys))
         live = {key for key in partition.keys if partition.buckets[key]}
         assert live == {d["taken_at"] for d in collection.iter_documents()}
+
+
+class TestRouterListenerOrder:
+    """Sharded fan-out order must be ``_id`` order, as unsharded.
+
+    Two observations route to different shards, so no shard lock stands
+    between them. Thread A takes ``_id`` 1 and is held inside its
+    shard's write body (the rendezvous in ``anonymize_ingest_many``)
+    until thread B's ingest has returned — by then B's listener has
+    fired. Locked, B waits on the router's ingest lock until A has
+    delivered, the rendezvous times out, and a subscriber hears
+    ``[1, 2]``. Unlocked, B takes ``_id`` 2 and delivers first:
+    ``[2, 1]``.
+    """
+
+    def _race_once(self) -> list:
+        server = GoFlowServer(sharding=2)
+        server.register_app(APP)
+        owners = {}
+        for n in range(100):
+            owners.setdefault(server.router.ring.node_for(f"r{n}"), f"r{n}")
+        region_a, region_b = (owners[name] for name in sorted(owners))
+        sub = server.streaming.subscribe()
+        a_inside = threading.Event()
+        b_done = threading.Event()
+        original = server.privacy.anonymize_ingest_many
+
+        def rendezvous(documents, owned=False):
+            if documents[0]["obs_id"] == "a":
+                a_inside.set()
+                b_done.wait(timeout=0.5)  # locked: B cannot get here
+            return original(documents, owned=owned)
+
+        server.privacy.anonymize_ingest_many = rendezvous
+
+        def thread_a():
+            server.data.ingest(APP, dict(_observation("a"), region=region_a))
+
+        def thread_b():
+            assert a_inside.wait(timeout=2.0)
+            server.data.ingest(APP, dict(_observation("b"), region=region_b))
+            b_done.set()
+
+        _run_threads(thread_a, thread_b)
+        events = server.streaming.next_events(sub)["events"]
+        return [event["_id"] for event in events]
+
+    def test_locked_delivers_in_id_order(self):
+        assert self._race_once() == [1, 2]
+
+    def test_lock_disabled_delivers_out_of_order(self):
+        with concurrency.lock_mode("off"):
+            assert self._race_once() == [2, 1]
 
 
 class TestRWLockSemantics:

@@ -4,9 +4,9 @@ Row-exactness against an unsharded store is the property oracle's job
 (``tests/property/test_sharded_oracle.py``) and crash safety is
 ``tests/integration/test_rebalance_crash.py``'s; these tests pin what
 neither covers — sharing applied through the router, the packaging
-verbs it shares with ``DataManager``, the per-shard region feed,
-rebalance + retransmit, the stats shape, and shard names as hostile
-input on the admin REST surface.
+verbs and the ingest-listener contract it shares with ``DataManager``,
+the tie order of a limited retrieve, rebalance + retransmit, the stats
+shape, and shard names as hostile input on the admin REST surface.
 """
 
 import os
@@ -56,16 +56,6 @@ def _ingest_batch(router, documents):
     router.ingest_many(APP, documents)
 
 
-def _drain(broker, queue):
-    channel = broker.connect().channel()
-    bodies = []
-    delivery = channel.basic_get(queue)
-    while delivery is not None:
-        bodies.append(delivery.body)
-        delivery = channel.basic_get(queue)
-    return bodies
-
-
 class TestRouter:
     def test_sharing_strips_late_private_fields(self, router):
         router.ingest_many(APP, _documents(40), owned=True)
@@ -80,23 +70,57 @@ class TestRouter:
     @pytest.mark.parametrize(
         "ingest", [_ingest_one_by_one, _ingest_batch], ids=["per_op", "batch"]
     )
-    def test_region_feed_notifies_stored_only(self, router, ingest):
-        name = sorted(router.shards)[0]
-        broker = router.subscribe(name, "q-feed", "#")
+    def test_ingest_listener_sees_stored_only(self, router, ingest):
+        calls = []
+        router.add_ingest_listener(lambda app_id, pairs: calls.append((app_id, pairs)))
         ingest(router, _documents(60, prefix="sub"))
-        bodies = _drain(broker, "q-feed")
-        for body in bodies:
-            assert set(body) == {"_id", "region", "app_id", "datatype", "taken_at"}
-            assert body["app_id"] == APP
-        stored_ids = {
-            doc["_id"] for doc in router.shards[name].collection.iter_documents()
-        }
-        # only the subscribed shard's documents notify, once each
-        assert 0 < len(stored_ids) < 60
-        assert sorted(body["_id"] for body in bodies) == sorted(stored_ids)
-        # a retransmission is deduplicated and notifies nobody
+        assert calls and all(app_id == APP for app_id, _ in calls)
+        assert all(pairs for _, pairs in calls)  # never an empty call
+        heard = [stored_id for _, pairs in calls for _, stored_id in pairs]
+        stored = [doc["_id"] for doc in router.collection.iter_documents()]
+        # every stored document once, in _id order, across both shards
+        assert len({router.shard_for(doc) for doc in _documents(60, "sub")}) == 2
+        assert heard == stored == sorted(stored) and len(stored) == 60
+        for _, pairs in calls:
+            assert all(doc["_id"] == stored_id for doc, stored_id in pairs)
+        # a retransmission is deduplicated and calls nothing
+        del calls[:]
         ingest(router, _documents(60, prefix="sub"))
-        assert _drain(broker, "q-feed") == []
+        assert calls == []
+
+    def test_limited_retrieve_breaks_ties_in_id_order(self):
+        """Twelve observations share one ``taken_at``: the index path,
+        the scan and the router must all keep the first four stored.
+        ``_id`` 4 shares a shard with 1, 10, 11 and 12, which sort
+        before it as strings: a shard that cut ties by ``str(_id)``
+        would drop it from its limit prefilter."""
+        unsharded = DataManager(DocumentStore(), PrivacyPolicy())
+        router = ShardRouter(PrivacyPolicy(), config=ShardingConfig(shards=3))
+        owners = {}
+        for n in range(100):
+            owners.setdefault(router.ring.node_for(f"r{n}"), f"r{n}")
+        crowded, *others = (owners[name] for name in sorted(owners))
+        documents = [
+            {
+                "obs_id": f"o{n}",
+                "user_id": "u0",
+                "taken_at": 5.0,
+                "region": crowded if n in (0, 3, 9, 10, 11) else others[n % 2],
+            }
+            for n in range(12)
+        ]
+        for plane in (unsharded, router):
+            plane.ingest_many(APP, [dict(doc) for doc in documents])
+        first_four = ["o0", "o1", "o2", "o3"]
+
+        def obs_ids(plane, query):
+            return [doc["obs_id"] for doc in plane.retrieve(query, limit=4)]
+
+        indexed = DataQuery(app_id=APP, since=0.0)
+        assert unsharded.collection.explain(indexed.to_filter())["strategy"] == "index"
+        assert obs_ids(unsharded, indexed) == first_four
+        assert obs_ids(unsharded, DataQuery(app_id=APP)) == first_four  # scan
+        assert obs_ids(router, indexed) == first_four
 
     def test_add_shard_then_retransmit_stores_nothing(self, router):
         router.ingest_many(APP, _documents(200), owned=True)

@@ -330,9 +330,7 @@ class TestMiddlewareStatsKeyTree:
             "sharding": {
                 "enabled": None,
                 "shards": {
-                    name: _leaves(
-                        "documents", "ingested", "deduped", "ledger", "subscriptions"
-                    )
+                    name: _leaves("documents", "ingested", "deduped", "ledger")
                     for name in _SHARD_NAMES
                 },
                 "ring": _leaves("nodes", "vnodes"),
