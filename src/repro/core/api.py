@@ -8,8 +8,9 @@ accounts for an app, and submit and manage background jobs."
 The transport is in-process: a :class:`Request` goes through the router
 to a handler and yields a :class:`Response` with an HTTP-like status
 code. Path templates use ``{param}`` segments. Authentication is a
-bearer token resolved by the token service; per-route minimum roles are
-enforced before the handler runs.
+bearer token resolved by the token service; per-route minimum roles, and
+that an ``{app_id}`` path names the token's own app, are enforced before
+the handler runs.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class _Route:
     template: str
     handler: Handler
     min_role: Optional[Role]
+    shared: bool
 
 
 def _compile_template(template: str) -> re.Pattern:
@@ -94,10 +96,13 @@ class GoFlowAPI:
         template: str,
         handler: Handler,
         min_role: Optional[Role] = None,
+        shared: bool = False,
     ) -> None:
         """Register ``handler`` for ``method template``.
 
         ``min_role=None`` makes the route public (login itself must be).
+        An ``{app_id}`` route only serves tokens of that app, unless
+        ``shared`` marks it as a sharing read open to every app.
         """
         method = method.upper()
         if method not in ("GET", "POST", "PUT", "DELETE"):
@@ -109,6 +114,7 @@ class GoFlowAPI:
                 template=template,
                 handler=handler,
                 min_role=min_role,
+                shared=shared,
             )
         )
 
@@ -123,6 +129,7 @@ class GoFlowAPI:
             if route.method != request.method.upper():
                 continue
             principal: Optional[Principal] = None
+            path = match.groupdict()
             try:
                 if route.min_role is not None:
                     principal = self._tokens.validate(request.token)
@@ -131,7 +138,12 @@ class GoFlowAPI:
                             f"{principal.user_id!r} lacks role "
                             f"{route.min_role.value!r}"
                         )
-                result = route.handler(request, match.groupdict(), principal)
+                    app_id = path.get("app_id")
+                    if app_id not in (None, principal.app_id) and not route.shared:
+                        raise AuthorizationError(
+                            f"{principal.user_id!r} is not a user of app {app_id!r}"
+                        )
+                result = route.handler(request, path, principal)
             except AuthenticationError as exc:
                 return Response(status=401, body={"error": str(exc)})
             except AuthorizationError as exc:

@@ -24,7 +24,7 @@ from repro.core.api import GoFlowAPI, Request, Response
 from repro.core.auth import TokenService
 from repro.core.channels import ChannelManager, GOFLOW_QUEUE
 from repro.core.datamgmt import DataManager, DataQuery
-from repro.core.errors import ValidationError
+from repro.core.errors import NotFoundError, ValidationError
 from repro.core.jobs import JobManager
 from repro.core.privacy import PrivacyPolicy
 from repro.docstore.store import DocumentStore
@@ -324,8 +324,9 @@ class GoFlowServer:
         api.route("DELETE", "/apps/{app_id}/users/{user_id}", self._r_delete_user, Role.MANAGER)
         api.route("GET", "/apps/{app_id}/users", self._r_list_users, Role.MANAGER)
         api.route("POST", "/apps/{app_id}/observations/batch", self._r_ingest_batch, Role.CONTRIBUTOR)
-        api.route("GET", "/apps/{app_id}/data", self._r_get_data, Role.CONTRIBUTOR)
-        api.route("GET", "/apps/{app_id}/data/count", self._r_count_data, Role.CONTRIBUTOR)
+        # the two sharing reads: any app's token, private fields stripped
+        api.route("GET", "/apps/{app_id}/data", self._r_get_data, Role.CONTRIBUTOR, shared=True)
+        api.route("GET", "/apps/{app_id}/data/count", self._r_count_data, Role.CONTRIBUTOR, shared=True)
         api.route("POST", "/apps/{app_id}/subscriptions", self._r_subscribe, Role.CONTRIBUTOR)
         api.route("POST", "/apps/{app_id}/stream/subscriptions", self._r_stream_subscribe, Role.CONTRIBUTOR)
         api.route("GET", "/apps/{app_id}/stream/subscriptions/{sub_id}/events", self._r_stream_events, Role.CONTRIBUTOR)
@@ -466,9 +467,9 @@ class GoFlowServer:
     def _r_stream_subscribe(self, request: Request, path: Dict[str, str], principal) -> Any:
         """Register a continuous query; the long-poll subscribe verb.
 
-        The path app is forced into the filter spec: a stream only ever
-        carries observations of the app the caller authenticated
-        against (same isolation as ``GET /apps/{app_id}/data``).
+        The path app is forced into the filter spec, and dispatch
+        refuses another app's token: a stream only ever carries
+        observations of the app the caller authenticated against.
         """
         body = request.body or {}
         if not isinstance(body, dict):
@@ -480,10 +481,14 @@ class GoFlowServer:
                 not isinstance(value, int) or isinstance(value, bool)
             ):
                 raise ValidationError(f"{knob!r} must be an integer")
+        observations = body.get("observations", True)
+        tiles = body.get("tiles", False)
+        if not isinstance(observations, bool) or not isinstance(tiles, bool):
+            raise ValidationError("'observations' and 'tiles' must be booleans")
         sub_id = self.streaming.subscribe(
             spec,
-            observations=bool(body.get("observations", True)),
-            tiles=bool(body.get("tiles", False)),
+            observations=observations,
+            tiles=tiles,
             capacity=body.get("capacity"),
             max_overruns=body.get("max_overruns"),
             owner_app=path["app_id"],
@@ -536,12 +541,23 @@ class GoFlowServer:
         )
         return {"job_id": job.job_id, "status": job.status.value}
 
+    def _job(self, path: Dict[str, str]) -> Any:
+        """The path's job, 404 unless it belongs to the path's app."""
+        try:
+            job_id = int(path["job_id"])
+        except ValueError:
+            raise ValidationError("job id must be an integer")
+        job = self.jobs.get(job_id)
+        if job.app_id != path["app_id"]:
+            raise NotFoundError(f"unknown job {job_id}")
+        return job
+
     def _r_run_job(self, request: Request, path: Dict[str, str], principal) -> Any:
-        job = self.jobs.run(int(path["job_id"]))
+        job = self.jobs.run(self._job(path).job_id)
         return {"job_id": job.job_id, "status": job.status.value, "error": job.error}
 
     def _r_get_job(self, request: Request, path: Dict[str, str], principal) -> Any:
-        job = self.jobs.get(int(path["job_id"]))
+        job = self._job(path)
         return {
             "job_id": job.job_id,
             "status": job.status.value,

@@ -251,6 +251,28 @@ class TestRestBatchUplink:
         with pytest.raises(UplinkError, match="JSON-serializable"):
             uplink.send([{"obs_id": "x", "payload": object()}])
 
+    @pytest.mark.parametrize("chunk", [1, 7, 30])
+    def test_chunked_sends_store_and_fold_everything(self, chunk):
+        server, credentials = _server()
+        uplink = RestBatchUplink(server, token=credentials["token"])
+        documents = [_payload(i) for i in range(30)]
+        for start in range(0, len(documents), chunk):
+            uplink.send(documents[start : start + chunk])
+        assert server.ingested == 30
+        assert server.data.materialized.totals() == {"total": 30, "localized": 30}
+
+    def test_durable_post_journals_one_record(self, tmp_path):
+        server = GoFlowServer(durable=True, data_dir=str(tmp_path))
+        server.register_app(APP)
+        credentials = server.enroll_user(APP, "alice", "pw")
+        uplink = RestBatchUplink(server, token=credentials["token"])
+        before = server.store.durability_info()["appends"]
+        for start in range(0, 20, 5):
+            uplink.send([_payload(i) for i in range(start, start + 5)])
+        assert server.ingested == 20
+        assert server.store.durability_info()["appends"] - before == 4
+        server.store.journal.close()
+
     def test_rejection_is_batch_atomic(self):
         server, _ = _server()
         uplink = RestBatchUplink(server, token="bogus-token")

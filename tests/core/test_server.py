@@ -286,3 +286,63 @@ class TestRestSurface:
             Request("GET", "/apps/SC/analytics/models", token=alice["token"])
         )
         assert models.body[0]["model"] == "A0001"
+
+
+def _manager(server, app_id, user_id):
+    server.accounts.create_account(app_id, user_id, "pw", role=Role.MANAGER)
+    return server.login_client(app_id, user_id, "pw")["token"]
+
+
+# the sharing reads: any app's token may read them, the owner's private
+# fields stripped on the way out
+SHARED_READS = {("GET", "/apps/{app_id}/data"), ("GET", "/apps/{app_id}/data/count")}
+APP_ROUTES = [r for r in GoFlowServer().api.routes() if "{app_id}" in r[1]]
+
+
+class TestAppScope:
+    @pytest.mark.parametrize(
+        "method, template", APP_ROUTES, ids=[" ".join(r) for r in APP_ROUTES]
+    )
+    def test_foreign_app_token_refused_except_sharing_reads(
+        self, server, method, template
+    ):
+        server.register_app("B")
+        foreign = _manager(server, "B", "mallory")
+        alice = server.enroll_user("SC", "alice", "pw")
+        _publish_observation(
+            server, alice, {"user_id": "alice", "app_id": "SC", "taken_at": 0.0}
+        )
+        path = template.format(
+            app_id="SC", user_id="alice", sub_id="sub-1", job_id="1", shard="s0"
+        )
+        response = server.handle(Request(method, path, body={}, token=foreign))
+        if (method, template) in SHARED_READS:
+            assert response.status == 200
+        else:
+            assert response.status == 403
+        assert server.data.collection.count() == 1
+        assert [a.user_id for a in server.accounts.accounts_for_app("SC")] == ["alice"]
+
+    def test_job_id_must_be_an_integer(self, server):
+        boss = _manager(server, "SC", "boss")
+        for method, path in (
+            ("GET", "/apps/SC/jobs/abc"),
+            ("POST", "/apps/SC/jobs/abc/run"),
+        ):
+            response = server.handle(Request(method, path, token=boss))
+            assert response.status == 400
+
+    def test_jobs_are_scoped_to_their_app(self, server):
+        server.jobs.register_script("count", lambda s, p: s["observations"].count())
+        server.register_app("B")
+        boss = _manager(server, "SC", "boss")
+        other = _manager(server, "B", "other")
+        job_id = server.handle(
+            Request("POST", "/apps/SC/jobs", body={"script": "count"}, token=boss)
+        ).body["job_id"]
+        for method, path in (
+            ("POST", f"/apps/B/jobs/{job_id}/run"),
+            ("GET", f"/apps/B/jobs/{job_id}"),
+        ):
+            assert server.handle(Request(method, path, token=other)).status == 404
+        assert server.jobs.get(job_id).status.value == "pending"

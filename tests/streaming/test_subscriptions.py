@@ -90,6 +90,32 @@ class TestFanOut:
         rest = server.streaming.next_events(sub, ack=first["cursor"])
         assert [e["cursor"] for e in rest["events"]] == [3, 4, 5]
 
+    def test_every_subscriber_gets_every_event(self):
+        # 64 dashboards over 16x16 cells; the tile consumer drains
+        # between batches, the rest once at the end
+        server = make_server()
+        count = 200
+        tiles = server.streaming.subscribe(tiles=True, capacity=2 * count)
+        others = [server.streaming.subscribe(capacity=count) for _ in range(63)]
+        kinds, cursor = [], 0
+        for start in range(0, count, 50):
+            ingest(
+                server,
+                [
+                    doc(i, x_m=(i * 1237 % 16) * 500.0, y_m=(i * 911 % 16) * 500.0)
+                    for i in range(start, start + 50)
+                ],
+            )
+            result = server.streaming.next_events(tiles, ack=cursor, limit=1000)
+            kinds += [event["kind"] for event in result["events"]]
+            cursor = result["cursor"]
+        assert kinds.count("observation") == kinds.count("tile") == count
+        for sub in others:
+            events = server.streaming.next_events(sub, limit=1000)["events"]
+            assert [e["kind"] for e in events] == ["observation"] * count
+        stats = server.middleware_stats()["streaming"]
+        assert stats["dropped"] == 0 and stats["evicted"] == 0
+
     def test_unknown_subscription_404s(self):
         server = make_server()
         with pytest.raises(NotFoundError):
@@ -310,6 +336,21 @@ class TestRestSurface:
         assert post({"capacity": "big"}) == 400
         assert post({"observations": False, "tiles": False}) == 400
         assert post([1, 2, 3]) == 400
+
+    def test_non_bool_flags_400(self):
+        server = make_server()
+        token = self.login(server)
+        for body in ({"observations": "false"}, {"tiles": 1}, {"tiles": None}):
+            resp = server.handle(
+                Request(
+                    "POST",
+                    f"/apps/{APP}/stream/subscriptions",
+                    body=body,
+                    token=token,
+                )
+            )
+            assert resp.status == 400
+        assert server.streaming.stats()["subscriptions"] == 0
 
     def test_bad_query_params_400(self):
         server = make_server()
