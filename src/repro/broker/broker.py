@@ -153,14 +153,6 @@ class Broker:
         with self._lock:
             self._delivery_taps.append(tap)
 
-    def remove_delivery_tap(self, tap: Callable[[str, Message], None]) -> None:
-        """Unregister a delivery tap (no-op when absent)."""
-        with self._lock:
-            try:
-                self._delivery_taps.remove(tap)
-            except ValueError:
-                pass
-
     def _fire_delivery_taps(self, queue: MessageQueue, message: Message) -> None:
         if not self._delivery_taps:
             return

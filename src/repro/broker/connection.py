@@ -36,11 +36,6 @@ class Connection:
         """Whether the connection is live."""
         return self._open
 
-    @property
-    def channel_count(self) -> int:
-        """Number of open channels on this connection."""
-        return sum(1 for c in self._channels.values() if c.is_open)
-
     def channel(self) -> Channel:
         """Open a new channel."""
         with self._lock:

@@ -143,11 +143,6 @@ class MessageQueue:
         with self._lock:
             return replace(self.stats)
 
-    @property
-    def consumer_count(self) -> int:
-        """Number of registered consumers."""
-        return len(self._consumers)
-
     # -- time & drop handling -------------------------------------------------
 
     def _now(self) -> float:

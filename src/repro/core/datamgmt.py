@@ -185,6 +185,12 @@ class DataManager(Packaging):
         """Direct access to the observations collection (analytics use)."""
         return self._observations
 
+    def ingest_paused(self):
+        """A context in which no ingest call is in flight: the ingest
+        lock. A reader that lists the store inside it has seen every
+        stored batch reach the ingest listeners already."""
+        return self.ingest_lock
+
     def add_ingest_listener(
         self,
         listener: Callable[[str, List[Tuple[Dict[str, Any], Any]]], None],

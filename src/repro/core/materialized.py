@@ -49,6 +49,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import concurrency
 from repro.docstore.aggregate import _safe_group_key
+from repro.docstore.collection import follows_inserts
 from repro.docstore.query import get_path, is_missing
 
 
@@ -114,10 +115,8 @@ class MaterializedAnalytics:
             return
         with self._lock:
             marker = self._live_marker()
-            prev = self._marker
-            expected = (prev[0] + len(documents), prev[1], prev[2]) if prev else None
-            if expected is None or marker != expected:
-                if prev is not None:
+            if not follows_inserts(self._marker, marker, len(documents)):
+                if self._marker is not None:
                     self.invalidations += 1
                 self._marker = None
                 self._pending = []

@@ -160,8 +160,11 @@ class GoFlowServer:
         # the live subscription plane. Deliberately transient — never
         # journaled — so a recovered durable server starts with zero
         # subscriptions (no phantom cursors); consumers re-subscribe
-        # and stream post-recovery deltas only.
-        self.streaming = SubscriptionManager(clock=self._clock, cell_m=cell_m)
+        # and stream post-recovery deltas only. Its tile scopes are
+        # built from the data plane's store at their first reader.
+        self.streaming = SubscriptionManager(
+            self.data, clock=self._clock, cell_m=cell_m
+        )
         # one delivery hook on either topology: it fires under the data
         # plane's ingest lock, so fan-out order is _id order.
         self.data.add_ingest_listener(self.streaming.on_stored)

@@ -46,6 +46,28 @@ PLAN_CACHE_SIZE = 256
 _UNCACHED = object()
 
 
+def follows_inserts(
+    marker: Optional[Tuple[int, int, int]],
+    live: Tuple[int, int, int],
+    inserted: int,
+) -> bool:
+    """Whether ``live`` is ``marker`` moved by exactly ``inserted``
+    inserts and nothing else.
+
+    The staleness rule of every view kept beside a collection's write
+    marker (:meth:`Collection.write_marker`): a view current at
+    ``marker`` that is handed a just-inserted batch may fold it only
+    when this holds; any other movement — a delete, an update, an
+    insert it was not handed — means the view missed writes. A ``None``
+    marker (no consistent view) never follows.
+    """
+    return marker is not None and live == (
+        marker[0] + inserted,
+        marker[1],
+        marker[2],
+    )
+
+
 def id_order_key(doc_id: Any) -> Tuple[int, Any]:
     """``_id`` order: numbers by value, then everything else by string.
 

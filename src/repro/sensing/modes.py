@@ -18,11 +18,6 @@ class SensingMode(enum.Enum):
     MANUAL = "manual"
     JOURNEY = "journey"
 
-    @property
-    def is_participatory(self) -> bool:
-        """Whether the user consciously initiated the measurement."""
-        return self is not SensingMode.OPPORTUNISTIC
-
 
 #: The default background sensing period (§5.3: "every 5 min by default").
 DEFAULT_OPPORTUNISTIC_PERIOD_S = 300.0

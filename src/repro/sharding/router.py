@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import re
 import shutil
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import concurrency
 from repro.core.datamgmt import (
@@ -540,6 +540,15 @@ class ShardRouter(Packaging):
         is ingest-stable, so they project exactly like stored forms.
         """
         self._ingest_listeners.append(listener)
+
+    @contextmanager
+    def ingest_paused(self) -> Iterator[None]:
+        """``DataManager.ingest_paused`` fleet-wide: the topology read
+        side, then :attr:`ingest_lock` — the order ``ingest_many``
+        takes them in, so a reader listing the shards inside cannot
+        deadlock against a rebalance waiting for the write side."""
+        with self._topology.read(), self.ingest_lock:
+            yield
 
     def ingest(self, app_id: str, document: Dict[str, Any]) -> Any:
         """Route one observation to its region's shard: the batch of

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional
 
 from repro.core.errors import ValidationError
-from repro.sharding.region import DEFAULT_CELL_M, region_of
 
 #: the datatype an observation without an explicit ``datatype`` field
 #: carries — the same default the sharded notification plane stamps.
@@ -88,12 +87,6 @@ class FilterSpec:
             if self.until is not None and taken_at >= self.until:
                 return False
         return True
-
-    def matches_document(
-        self, app_id: str, document: Dict[str, Any], cell_m: float = DEFAULT_CELL_M
-    ) -> bool:
-        """Convenience: derive the region key, then match."""
-        return self.matches(app_id, document, region_of(document, cell_m))
 
     def wants_region(self, region: str) -> bool:
         """Whether tile deltas for ``region`` pass the region filter."""

@@ -15,8 +15,8 @@ region-unfiltered one its app's wildcard bucket — so a stored
 observation looks up at most four buckets and evaluates only the
 residual predicate (datatype / model / ``taken_at`` window) on what
 they hold: O(candidates), not O(subscribers). Each observation builds
-one event (plus one tile event per scope) that every recipient's outbox
-references; a queued event is never mutated, and the only copies are
+one event (plus one tile event per built scope) that every recipient's
+outbox references; a queued event is never mutated, and the only copies are
 the per-poll ones :meth:`SubscriptionManager.next_events` hands out,
 with the recipient's cursor stamped in. The cursor is not stored: an
 outbox only ever loses its oldest entries, so what it holds is always
@@ -28,8 +28,31 @@ each subscription records the principal scope (``owner_app``,
 scope 404 exactly like a bogus id. Tile aggregates are scoped the same
 way: an app-filtered subscription streams tiles folded from that app's
 observations only (a per-app :class:`~repro.streaming.tiles.
-TileDeltaEngine`), while the global engine remains the deliberate
-cross-app map surface for unscoped, in-process consumers.
+TileDeltaEngine`), while the global scope (``None``) remains the
+deliberate cross-app map surface for unscoped, in-process consumers.
+
+Tiles fold only for their readers. No tile scope exists until its first
+reader — a ``tiles_snapshot`` of it or a ``tiles=True`` subscription in
+it — builds it from the store: one left fold over the data plane's
+``collection.iter_documents()`` (global ``_id`` order on both
+topologies) filtered to the scope's app, under the data plane's
+``ingest_paused()`` so no stored-but-undelivered batch is counted
+twice. From then on ``on_stored`` folds each delivered batch into the
+built scopes it belongs to, and a write path with no tile reader folds
+nothing at all. A built scope is kept (at most apps + 1 of them), so a
+polled map never rescans.
+
+One staleness rule, the write marker: each scope records
+``collection.write_marker()`` when it is built and moves it forward
+with every batch it is handed, and it may fold a batch only when the
+live marker is exactly ``len(batch)`` inserts ahead
+(:func:`~repro.docstore.collection.follows_inserts`, the rule
+``MaterializedAnalytics`` keeps too). Any other movement — contributor
+erasure, a rebalance, a direct collection write, recovery replay —
+drops the scope and its next reader rebuilds it; a scope with live tile
+subscribers is rebuilt at once instead, from a store that already
+holds the batch, so the batch is not folded again. A snapshot whose
+scope's marker is not the live one rebuilds before it answers.
 
 Event projection and privacy: a pushed observation event carries only
 the ingest-stable projection ``{_id, region, app_id, datatype, model,
@@ -65,11 +88,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import concurrency
 from repro.client.buffer import ObservationBuffer
 from repro.core.errors import NotFoundError, ValidationError
+from repro.docstore.collection import follows_inserts
 from repro.sharding.region import DEFAULT_CELL_M, region_of
 from repro.streaming.filters import FilterSpec, datatype_of
 from repro.streaming.tiles import TileDeltaEngine
@@ -180,10 +205,36 @@ class Subscription:
         }
 
 
+def _tiles_of(
+    engine: TileDeltaEngine, region: Optional[str]
+) -> Dict[str, Dict[str, Any]]:
+    """Copies of one region's tile (``{}`` when unseen), or of all."""
+    if region is None:
+        return engine.snapshot()
+    tile = engine.tile(region)
+    return {} if tile is None else {region: tile}
+
+
+class _TileScope:
+    """One built tile scope: its engine and the collection write marker
+    it is current at."""
+
+    __slots__ = ("engine", "marker")
+
+    def __init__(self, engine: TileDeltaEngine, marker: Tuple[int, int, int]) -> None:
+        self.engine = engine
+        self.marker = marker
+
+
 class SubscriptionManager:
     """Registers continuous queries and fans stored observations out.
 
     Args:
+        data: the data plane whose ingest listener feeds ``on_stored``
+            (a ``DataManager`` or a ``ShardRouter``): tile scopes are
+            built from its ``collection`` inside its
+            ``ingest_paused()``. Without one there is no store, and
+            tile reads and ``tiles=True`` subscriptions raise.
         clock: simulated-time source (event ``emitted_at`` stamps).
         wall_clock: real-time source for staleness measurement
             (``emitted_wall`` stamps); defaults to ``time.perf_counter``.
@@ -196,25 +247,29 @@ class SubscriptionManager:
     Subscriptions are deliberately **transient** (never journaled): a
     recovered durable server starts with an empty manager, so a crash
     can never leave phantom cursors behind — consumers re-subscribe and
-    stream post-recovery deltas only.
+    stream post-recovery deltas only. Tiles are not state of their own:
+    a scope is built from the (recovered) store at its first reader.
     """
 
     def __init__(
         self,
+        data: Optional[Any] = None,
         clock: Optional[Callable[[], float]] = None,
         wall_clock: Optional[Callable[[], float]] = None,
         cell_m: float = DEFAULT_CELL_M,
         default_capacity: int = DEFAULT_OUTBOX_CAPACITY,
         default_max_overruns: int = DEFAULT_MAX_OVERRUNS,
     ) -> None:
+        self._data = data
         self._clock = clock or (lambda: 0.0)
         self._wall = wall_clock or time.perf_counter
         self._cell_m = cell_m
         self._default_capacity = default_capacity
         self._default_max_overruns = default_max_overruns
         #: one lock covers the registry, every outbox, every cursor and
-        #: the tile engine: cursor assignment and outbox append must be
+        #: the tile scopes: cursor assignment and outbox append must be
         #: atomic per event, or a drained stream shows gaps/duplicates.
+        #: Taken after the data plane's ingest lock, never before.
         self._lock = concurrency.make_rlock()
         self._subs: Dict[str, Subscription] = {}
         #: the fan-out index: *live* subscriptions by ``(app or None,
@@ -226,13 +281,11 @@ class SubscriptionManager:
         ] = {}
         self._live = 0
         self._ids = itertools.count(1)
-        #: the global tile accumulator — every app's observations fold
-        #: in. Serves app-unscoped subscriptions and direct snapshots.
-        self.tiles = TileDeltaEngine(cell_m)
-        #: per-app tile accumulators, fed in lockstep with the global
-        #: one: a subscription whose spec names an app streams *these*
-        #: tiles, so its aggregates never include other apps' data.
-        self._app_tiles: Dict[str, TileDeltaEngine] = {}
+        #: the built tile scopes: an app id (that app's observations
+        #: only — what a subscription naming the app streams) or None
+        #: (every app's: app-unscoped subscriptions and snapshots).
+        #: Empty until a first reader; see the module docstring.
+        self._scopes: Dict[Optional[str], _TileScope] = {}
         self._created = 0
         self._unsubscribed = 0
         self._evictions = 0
@@ -265,6 +318,10 @@ class SubscriptionManager:
     ) -> str:
         """Register a continuous query; returns the subscription id.
 
+        ``tiles=True`` makes it a reader of the tile scope its spec
+        names (``spec.app_id``, None for the global one): the scope is
+        built from the store first if it is not built and current.
+
         ``capacity``/``max_overruns``: per-subscriber backpressure
         knobs; None takes the manager defaults, 0 ``max_overruns``
         disables eviction (drop-oldest forever).
@@ -289,11 +346,18 @@ class SubscriptionManager:
             capacity = self._default_capacity
         if max_overruns is None:
             max_overruns = self._default_max_overruns
-        with self._lock:
+        spec = spec or FilterSpec()
+        # a tile subscription's scope is built (or made current) in the
+        # same critical section that registers it: no batch slips in
+        # between, and a scope with tile subscribers always exists
+        paused = self._plane().ingest_paused() if tiles else nullcontext()
+        with paused, self._lock:
+            if tiles:
+                self._current_scope(spec.app_id)
             sub_id = f"sub-{next(self._ids)}"
             sub = self._subs[sub_id] = Subscription(
                 sub_id,
-                spec or FilterSpec(),
+                spec,
                 observations,
                 tiles,
                 capacity,
@@ -380,7 +444,7 @@ class SubscriptionManager:
     # -- ingest-side fan-out -------------------------------------------------
 
     def on_stored(
-        self, app_id: str, pairs: Iterable[Tuple[Dict[str, Any], Any]]
+        self, app_id: str, pairs: List[Tuple[Dict[str, Any], Any]]
     ) -> None:
         """Fan freshly stored observations out to matching outboxes.
 
@@ -390,38 +454,54 @@ class SubscriptionManager:
         way. The whole fan-out runs under the manager lock so
         per-subscription cursors stay contiguous.
 
-        Cost per observation: ``region_of``, the two in-place tile
-        folds, at most four index lookups — ``(app, region)``, ``(app,
-        None)``, ``(None, region)``, ``(None, None)`` — and the
-        residual predicate on the candidates those buckets hold. With
-        no candidate, no event is built at all.
+        With no live subscription and no built tile scope it returns at
+        once: a write path nobody reads pays one lock. Otherwise, per
+        observation: ``region_of``, one in-place tile fold per built
+        scope it belongs to (its app's, the global one), at most four
+        index lookups — ``(app, region)``, ``(app, None)``, ``(None,
+        region)``, ``(None, None)`` — and the residual predicate on the
+        candidates those buckets hold. With no candidate, no event is
+        built at all.
 
-        Tile scoping: every observation folds into the global tile
-        engine *and* into its app's engine. A subscription whose spec
-        names an app (every REST subscription — ``FilterSpec.
-        from_body`` forces the path app in) streams the app-scoped
-        tiles, so its aggregates carry that app's data only; an
-        app-unscoped spec streams the global map.
+        Tile scoping: a subscription whose spec names an app (every
+        REST subscription — ``FilterSpec.from_body`` forces the path
+        app in) streams that app's scope, so its aggregates carry that
+        app's data only; an app-unscoped spec streams the global scope.
+        Before folding, every built scope checks the write marker (see
+        :meth:`_advance_scopes`).
         """
         with self._lock:
+            index = self._index
+            scopes = self._scopes
+            if not index and not scopes:
+                return
+            rebuilt = self._advance_scopes(len(pairs)) if scopes else ()
+            #: (scope, engine or None, fold the batch into it?)
+            targets = []
+            for scope in (app_id, None):
+                state = scopes.get(scope)
+                engine = None if state is None else state.engine
+                targets.append((scope, engine, scope not in rebuilt))
+            if not index and targets[0][1] is None and targets[1][1] is None:
+                return
             emitted_at = self._clock()
             emitted_wall = self._wall()
-            index = self._index
-            app_engine = self._app_tiles.get(app_id)
-            if app_engine is None:
-                app_engine = self._app_tiles[app_id] = TileDeltaEngine(
-                    self._cell_m
-                )
+            cell_m = self._cell_m
             for document, doc_id in pairs:
-                region = region_of(document, self._cell_m)
-                global_tile = self.tiles.observe(document, region)
-                app_tile = app_engine.observe(document, region)
+                region = region_of(document, cell_m)
                 #: built on first use, then shared by every recipient
                 event: Optional[Dict[str, Any]] = None
                 # a subscription sits in at most one of these four
                 # buckets (one app key; wildcard *or* named regions),
                 # so no candidate is visited twice
-                for scope, tile in ((app_id, app_tile), (None, global_tile)):
+                for scope, engine, fold in targets:
+                    if engine is None:
+                        tile = None
+                    elif fold:
+                        tile = engine.observe(document, region)
+                    else:
+                        # rebuilt from a store that holds the batch
+                        tile = engine.tile(region)
                     tile_event: Optional[Dict[str, Any]] = None
                     for key in ((scope, region), (scope, None)):
                         bucket = index.get(key)
@@ -440,7 +520,11 @@ class SubscriptionManager:
                                     event["emitted_at"] = emitted_at
                                     event["emitted_wall"] = emitted_wall
                                 self._push(sub, event)
-                            if sub.tiles and sub.state == "live":
+                            if (
+                                sub.tiles
+                                and tile is not None
+                                and sub.state == "live"
+                            ):
                                 if tile_event is None:
                                     tile_event = {
                                         "kind": "tile",
@@ -459,6 +543,82 @@ class SubscriptionManager:
                                 if sub.state != "live"
                             ]:
                                 self._unindex(sub)
+
+    # -- tile scopes ---------------------------------------------------------
+
+    def _plane(self) -> Any:
+        """The data plane tile scopes are built from."""
+        if self._data is None:
+            raise RuntimeError(
+                "tile scopes are built from the store: this manager "
+                "was given no data plane"
+            )
+        return self._data
+
+    def _build(self, scope: Optional[str]) -> _TileScope:
+        """Fold ``scope`` from the store and keep it (caller holds the
+        data plane's ingest lock, then the manager lock, so every
+        stored batch has been delivered and none is half-way).
+
+        One pass over the collection in global ``_id`` order, filtered
+        to the scope's app: the same left fold as the recompute. The
+        marker and the listing come from one atomic look, so a delete
+        landing in between cannot be missed.
+        """
+        collection = self._plane().collection
+        with collection.read_locked():
+            marker = collection.write_marker()
+            documents = collection.iter_documents()
+        if scope is not None:
+            documents = [doc for doc in documents if doc.get("app_id") == scope]
+        state = self._scopes[scope] = _TileScope(
+            TileDeltaEngine.from_documents(documents, self._cell_m), marker
+        )
+        return state
+
+    def _current_scope(self, scope: Optional[str]) -> _TileScope:
+        """``scope`` built and current at the live marker (caller holds
+        the data plane's ingest lock, then the manager lock: no batch is
+        in flight, so a marker that moved means writes the scope was
+        never handed)."""
+        state = self._scopes.get(scope)
+        if state is None or not follows_inserts(
+            state.marker, self._plane().collection.write_marker(), 0
+        ):
+            state = self._build(scope)
+        return state
+
+    def _advance_scopes(self, inserted: int) -> Set[Optional[str]]:
+        """Move every built scope past a just-stored batch of
+        ``inserted`` (caller holds the manager lock, inside the data
+        plane's ingest lock).
+
+        A scope the live marker follows by exactly the batch advances
+        and folds it. Any other movement drops the scope for its next
+        reader to rebuild — unless it has live tile subscribers, then
+        it is rebuilt here, from a store that already holds the batch.
+        Returns the scopes rebuilt: they must not fold the batch again.
+        """
+        live = self._data.collection.write_marker()
+        rebuilt: Set[Optional[str]] = set()
+        for scope, state in list(self._scopes.items()):
+            if follows_inserts(state.marker, live, inserted):
+                state.marker = live
+            elif self._has_tile_subscribers(scope):
+                self._build(scope)
+                rebuilt.add(scope)
+            else:
+                del self._scopes[scope]
+        return rebuilt
+
+    def _has_tile_subscribers(self, scope: Optional[str]) -> bool:
+        """Whether a live subscription streams ``scope``'s tiles."""
+        return any(
+            sub.tiles
+            for (app_id, _), bucket in self._index.items()
+            if app_id == scope
+            for sub in bucket.values()
+        )
 
     def _push(self, sub: Subscription, event: Dict[str, Any]) -> None:
         """Queue ``event`` under the next cursor; applies the drop
@@ -580,20 +740,21 @@ class SubscriptionManager:
     ) -> Dict[str, Dict[str, Any]]:
         """Current live-map tile state (one region, or all of them).
 
-        ``app_id`` selects that app's scoped tile engine — aggregates
-        over its observations only; ``None`` is the global map.
+        ``app_id`` selects that app's scope — aggregates over its
+        observations only; ``None`` is the global map. The first read
+        of a scope builds it from the store; later reads serve the kept
+        scope while its marker is the live one, and rebuild it first
+        when writes it was not handed (an erasure, a rebalance) moved
+        the marker. Either way the answer equals
+        ``tiles_from_documents`` over the scope's stored documents.
         """
+        live = self._plane().collection.write_marker()
         with self._lock:
-            if app_id is None:
-                engine: Optional[TileDeltaEngine] = self.tiles
-            else:
-                engine = self._app_tiles.get(app_id)
-            if engine is None:
-                return {}
-            if region is not None:
-                tile = engine.tile(region)
-                return {} if tile is None else {region: tile}
-            return engine.snapshot()
+            state = self._scopes.get(app_id)
+            if state is not None and follows_inserts(state.marker, live, 0):
+                return _tiles_of(state.engine, region)
+        with self._data.ingest_paused(), self._lock:
+            return _tiles_of(self._current_scope(app_id).engine, region)
 
     # -- observability -------------------------------------------------------
 
@@ -617,10 +778,12 @@ class SubscriptionManager:
                 "dropped": self._dropped,
                 "lagged_markers": self._lagged,
                 "polls": self._polls,
+                # built scopes only: tiles held, folds made (build
+                # passes included) and app scopes built
                 "tiles": {
-                    "regions": len(self.tiles),
-                    "deltas": self.tiles.deltas,
-                    "app_engines": len(self._app_tiles),
+                    "regions": sum(len(t.engine) for t in self._scopes.values()),
+                    "deltas": sum(t.engine.deltas for t in self._scopes.values()),
+                    "app_engines": sum(1 for scope in self._scopes if scope is not None),
                 },
                 "broker_tap": {
                     "confirmed_deliveries": self._confirmed_deliveries

@@ -2,18 +2,22 @@
 
 The live map the paper's deployment served per-participant is a grid of
 noise levels. The poll-era answer recomputed each tile from the stored
-observations; the subscription plane instead folds each observation
-into its region's tile **at ingest** — an O(1) update per document —
-and pushes the post-fold tile state as a delta event, so a map client's
-staleness is bounded by fan-out latency, not by a recompute.
+observations on every read; the subscription plane instead builds a
+scope's tiles from the store once, at its first reader, then folds each
+newly stored observation into its region's tile — an O(1) update per
+document — and pushes the post-fold tile state as a delta event, so a
+map client's staleness is bounded by fan-out latency, not by a
+recompute.
 
 Fold ≡ recompute: :class:`TileDeltaEngine` applied to a document
 sequence produces, tile by tile, exactly the state
 :func:`tiles_from_documents` computes from scratch over the same
 sequence in the same order (floating-point sums included — both run the
-same left fold). Delta events carry absolute tile state, so folding a
-delta stream is last-wins per region (:func:`fold_tile_deltas`) and a
-dropped intermediate delta only costs staleness, never correctness.
+same left fold, :meth:`TileDeltaEngine.from_documents`, and a scope
+built from the store and then folded forward is that fold over a longer
+sequence). Delta events carry absolute tile state, so folding a delta
+stream is last-wins per region (:func:`fold_tile_deltas`) and a dropped
+intermediate delta only costs staleness, never correctness.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ class TileDeltaEngine:
         self._tiles: Dict[str, Dict[str, Any]] = {}
         self.deltas = 0
 
+    @classmethod
+    def from_documents(
+        cls, documents: Iterable[Dict[str, Any]], cell_m: float = DEFAULT_CELL_M
+    ) -> "TileDeltaEngine":
+        """The left fold of ``documents``, in iteration order: what a
+        scope is built with at its first reader, and the recompute."""
+        engine = cls(cell_m)
+        for document in documents:
+            engine.observe(document)
+        return engine
+
     def __len__(self) -> int:
         return len(self._tiles)
 
@@ -61,9 +76,9 @@ class TileDeltaEngine:
         """Fold one observation in place; returns the region's tile.
 
         The returned dict is the **live accumulator**, not a copy — the
-        fold runs for every stored observation, subscribers or not, so
-        it allocates nothing. A caller that ships the state (a delta
-        event body) copies it first.
+        fold runs once per stored observation for every built scope the
+        observation belongs to, so it allocates nothing. A caller that
+        ships the state (a delta event body) copies it first.
         """
         if region is None:
             region = region_of(document, self.cell_m)
@@ -100,10 +115,7 @@ def tiles_from_documents(
     Iterate in global insertion (``_id``) order to reproduce the ingest
     fold exactly, bit-identical float sums included.
     """
-    engine = TileDeltaEngine(cell_m)
-    for document in documents:
-        engine.observe(document)
-    return engine.snapshot()
+    return TileDeltaEngine.from_documents(documents, cell_m).snapshot()
 
 
 def fold_tile_deltas(events: Iterable[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:

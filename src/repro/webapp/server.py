@@ -156,10 +156,12 @@ class SoundCityApp:
         return self.feedback.sensitivity_profile(principal.user_id)
 
     def _r_live_map(self, request: Request, path, principal) -> Any:
-        """The push-maintained noise map: tile aggregates folded at
-        ingest, so serving the map never rescans the store. Scoped to
-        this application's tile engine — co-hosted apps' observations
-        never surface here."""
+        """The push-maintained noise map, scoped to this application's
+        tiles — co-hosted apps' observations never surface here. The
+        first request builds the scope from the store; it is kept and
+        folded forward as observations are stored, so later polls never
+        rescan, and a write it was not handed (an erasure) makes the
+        next poll rebuild it."""
         region = request.params.get("region")
         tiles = self.server.streaming.tiles_snapshot(
             region=region, app_id=self.app_id

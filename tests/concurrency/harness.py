@@ -48,7 +48,7 @@ from repro.core.server import GoFlowServer
 from repro.docstore.aggregate import aggregate
 from repro.docstore.naive import naive_aggregate
 from repro.sharding.region import region_of
-from repro.streaming import observation_event
+from repro.streaming import observation_event, tiles_from_documents
 
 APP_ID = "SC"
 ROUTING_KEYS = ("FR75013.Feedback", "FR75019.Feedback", "FR92120.Feedback")
@@ -101,7 +101,10 @@ class ThreadedSoak:
             out cursor-contiguous, gap-free and duplicate-free, and
             row-exact against a brute-force re-filter of the store.
             Subscriber 0 is additionally consumed *during* the run by
-            the reader ops (concurrent ack-cursor polling).
+            the reader ops (concurrent ack-cursor polling), which also
+            read the app's live map — the first of them builds its
+            tile scope from the store mid-ingest — and the map must end
+            equal to the tile recompute over the store.
     """
 
     def __init__(
@@ -265,6 +268,7 @@ class ThreadedSoak:
                 result.violations.extend(breaches)
         if self._subscriber_ids:
             self._consume_live(result)
+            self.server.streaming.tiles_snapshot(app_id=APP_ID)
 
     def _consume_live(self, result: SoakResult) -> None:
         """Drain a slice of subscriber 0 concurrently with ingest."""
@@ -455,12 +459,16 @@ class ThreadedSoak:
         if streaming["evicted"]:
             problems.append(f"subscribers evicted: {streaming['evicted']}")
         cell_m = self.server.streaming.cell_m
+        stored = sorted(
+            self.server.data.collection.iter_documents(), key=lambda d: d["_id"]
+        )
+        if self.server.streaming.tiles_snapshot(
+            app_id=APP_ID
+        ) != tiles_from_documents(stored, cell_m):
+            problems.append("live map != tile recompute over the store")
         expected = [
             observation_event(doc, doc["_id"], APP_ID, region_of(doc, cell_m))
-            for doc in sorted(
-                self.server.data.collection.iter_documents(),
-                key=lambda d: d["_id"],
-            )
+            for doc in stored
         ]
         for position, sub_id in enumerate(self._subscriber_ids):
             if position == 0:

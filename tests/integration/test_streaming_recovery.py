@@ -1,9 +1,12 @@
-"""Durable-mode regression: subscriptions across a kill -9.
+"""Durable-mode regression: subscriptions and the live map across a
+kill -9.
 
 Subscriptions are deliberately *transient* — a push cursor names
 positions in a live fan-out stream, not rows in the store, so
-journaling them would only manufacture phantom state. The contract
-after a crash is therefore:
+journaling them would only manufacture phantom state. Tiles are not
+state of their own either, but for the opposite reason: a tile scope is
+built from the store at its first reader, so the recovered store brings
+the live map back with it. The contract after a crash is therefore:
 
 - recovery drops every subscription cleanly: the old ids 404, the
   streaming counters start from zero (no phantom cursors);
@@ -11,7 +14,9 @@ after a crash is therefore:
   deltas — the at-least-once retransmit of already-stored observations
   dedups and pushes nothing;
 - push ≡ poll still holds for what the crash committed: the stored
-  documents plus the post-recovery event stream re-derive each other.
+  documents plus the post-recovery event stream re-derive each other;
+- the live map is whole: a snapshot on the recovered server equals the
+  from-scratch tile recompute over the recovered documents.
 """
 
 import random
@@ -20,7 +25,8 @@ import pytest
 
 from repro.core.errors import NotFoundError
 from repro.sharding.region import region_of
-from repro.streaming import observation_event
+from repro.core.server import GoFlowServer
+from repro.streaming import observation_event, tiles_from_documents
 
 from tests.integration.test_crash_recovery import (
     APP,
@@ -45,6 +51,12 @@ def drain(server, sub_id):
 
 def stored_ids(server):
     return {doc["_id"] for doc in server.data.collection.iter_documents()}
+
+
+def stored_documents(server):
+    return sorted(
+        server.data.collection.iter_documents(), key=lambda doc: doc["_id"]
+    )
 
 
 class TestSubscriptionsAcrossCrash:
@@ -158,3 +170,39 @@ class TestSubscriptionsAcrossCrash:
         recovered.data.ingest_many(APP, [dict(doc) for doc in docs])
         events = drain(recovered, sub2)
         assert len(events) == len(docs) - len(acked)
+
+    @pytest.mark.parametrize("kill_at", [5, 13])
+    def test_live_map_comes_back_from_the_store(self, tmp_path, kill_at):
+        server = make_server(tmp_path)
+        server.register_app(APP)
+        docs = make_observations(24)
+        arm(server, "append", kill_at)
+        acked = ingest_until_crash(server, docs)
+        assert server.streaming.tiles_snapshot(app_id=APP)
+        kill(server)
+
+        recovered = make_server(tmp_path)
+        cell_m = recovered.streaming.cell_m
+        documents = stored_documents(recovered)
+        assert len(documents) == len(acked) > 0
+        expected = tiles_from_documents(documents, cell_m)
+        assert recovered.streaming.tiles_snapshot(app_id=APP) == expected
+        assert recovered.streaming.tiles_snapshot() == expected
+        # the rebuilt scope folds the retransmit's fresh observations
+        recovered.data.ingest_many(APP, [dict(doc) for doc in docs])
+        assert recovered.streaming.tiles_snapshot(
+            app_id=APP
+        ) == tiles_from_documents(stored_documents(recovered), cell_m)
+
+    def test_sharded_restart_rebuilds_the_map(self, tmp_path):
+        server = GoFlowServer(sharding=2, durable=True, data_dir=tmp_path)
+        server.register_app(APP)
+        server.data.ingest_many(APP, make_observations(12))
+        server.data.close()
+
+        restarted = GoFlowServer(sharding=2, durable=True, data_dir=tmp_path)
+        documents = stored_documents(restarted)
+        assert len(documents) == 12
+        assert restarted.streaming.tiles_snapshot(
+            app_id=APP
+        ) == tiles_from_documents(documents, restarted.streaming.cell_m)

@@ -10,12 +10,20 @@ eviction arithmetic, under subscribe / unsubscribe / drain /
 overrun-to-eviction churn. After every observation the manager's
 per-subscription counters, the tail of each live outbox, the live
 counter and the ``candidates`` cost counter must equal the model's.
+
+Observations are stored through a real ``DataManager`` whose ingest
+listener is the manager's ``on_stored``: tile scopes are built from
+that store at their first reader, so a tile subscription that arrives
+after some observations still streams counts that include them.
 """
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.datamgmt import DataManager
+from repro.core.privacy import PrivacyPolicy
+from repro.docstore.store import DocumentStore
 from repro.sharding.region import region_of
 from repro.streaming import FilterSpec, SubscriptionManager
 
@@ -93,7 +101,9 @@ class _ModelSub:
 class FanOutIndexMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.manager = SubscriptionManager()
+        self.data = DataManager(DocumentStore(), PrivacyPolicy())
+        self.manager = SubscriptionManager(self.data)
+        self.data.add_ingest_listener(self.manager.on_stored)
         self.model = {}
         self.next_doc_id = 0
         self.pushed = 0
@@ -171,7 +181,7 @@ class FanOutIndexMachine(RuleBasedStateMachine):
                 expected_tail[sub_id] = tail
 
         before = self.manager.stats()
-        self.manager.on_stored(app_id, [(document, doc_id)])
+        assert self.data.ingest_many(app_id, [document]) == [doc_id]
         after = self.manager.stats()
 
         assert after["candidates"] - before["candidates"] == expected_candidates

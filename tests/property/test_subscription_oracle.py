@@ -12,6 +12,11 @@ second source of truth. Two oracles pin that down:
    received must reproduce the from-scratch tile recompute over the
    stored documents, bit-exact (both are the same left fold in ``_id``
    order).
+3. **Late-built scopes**: a tile scope is built from the store at its
+   first reader and kept by the write marker, so whenever it is read —
+   after ingest, subscriber churn or erasure — it equals that
+   recompute over the scope's stored documents; and a server nobody
+   reads tiles from folds none.
 """
 
 import pytest
@@ -284,3 +289,108 @@ class TestTileOracle:
         assert folded == tiles_from_documents(
             _stored(server), server.streaming.cell_m
         )
+
+
+OTHER = "other-app"
+USERS = ["user0", "user1", "user2", "user3"]
+#: None is the global scope
+SCOPES = [None, APP, OTHER]
+
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.sampled_from([APP, OTHER]), DOCUMENTS),
+        st.tuples(st.just("subscribe"), st.sampled_from(SCOPES)),
+        st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("snapshot"), st.sampled_from(SCOPES)),
+        # an erasure, then the app's next batch (possibly empty): the
+        # batch meets a moved marker before any reader does
+        st.tuples(
+            st.just("erase"),
+            st.sampled_from([APP, OTHER]),
+            st.sampled_from(USERS),
+            DOCUMENTS,
+        ),
+    ),
+    max_size=10,
+)
+
+
+def _scope_documents(server, scope):
+    """The scope's stored documents in global ``_id`` order."""
+    return sorted(
+        (
+            doc
+            for doc in server.data.collection.iter_documents()
+            if scope is None or doc.get("app_id") == scope
+        ),
+        key=lambda doc: doc["_id"],
+    )
+
+
+class TestLateBuiltScopes:
+    @pytest.mark.parametrize("sharding", [None, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(steps=STEPS)
+    def test_every_read_scope_equals_recompute(self, sharding, steps):
+        server = GoFlowServer(sharding=sharding)
+        server.register_app(APP)
+        server.register_app(OTHER)
+        cell_m = server.streaming.cell_m
+        sent = 0
+        subs = []
+        read = set()
+
+        def ingest(app_id, docs):
+            nonlocal sent
+            wire = _wire_documents(docs)
+            for doc in wire:
+                doc["obs_id"] = f"obs-{sent}"
+                sent += 1
+            server.data.ingest_many(app_id, wire)
+
+        for step in steps:
+            kind = step[0]
+            if kind == "ingest":
+                ingest(step[1], step[2])
+            elif kind == "subscribe":
+                subs.append(
+                    server.streaming.subscribe(
+                        FilterSpec(app_id=step[1]), observations=False, tiles=True
+                    )
+                )
+                read.add(step[1])
+            elif kind == "unsubscribe" and subs:
+                server.streaming.unsubscribe(subs.pop(step[1] % len(subs)))
+            elif kind == "snapshot":
+                read.add(step[1])
+            elif kind == "erase":
+                server.data.delete_contributor_data(step[1], step[2])
+                ingest(step[1], step[3])
+            for scope in read:
+                assert server.streaming.tiles_snapshot(
+                    app_id=scope
+                ) == tiles_from_documents(_scope_documents(server, scope), cell_m)
+        assert server.streaming.stats()["tiles"]["app_engines"] <= 2
+
+    @pytest.mark.parametrize("sharding", [None, 4])
+    def test_no_tile_reader_folds_nothing(self, sharding):
+        server = GoFlowServer(sharding=sharding)
+        server.register_app(APP)
+        # an observation-only subscriber is not a tile reader
+        sub = server.streaming.subscribe(FilterSpec(app_id=APP))
+        wire = _wire_documents([{"noise_dba": 40 + i} for i in range(30)])
+        server.data.ingest_many(APP, wire)
+        assert len(_drain(server, sub)) == 30
+        assert server.streaming.stats()["tiles"] == {
+            "regions": 0,
+            "deltas": 0,
+            "app_engines": 0,
+        }
+        # the first read builds the scope: one fold per stored document
+        snapshot = server.streaming.tiles_snapshot(app_id=APP)
+        tiles = server.streaming.stats()["tiles"]
+        assert (tiles["deltas"], tiles["app_engines"]) == (30, 1)
+        assert tiles["regions"] == len(snapshot)
+        # kept: a second read rescans nothing
+        server.streaming.tiles_snapshot(app_id=APP)
+        assert server.streaming.stats()["tiles"]["deltas"] == 30

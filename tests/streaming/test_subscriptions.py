@@ -9,6 +9,7 @@ import pytest
 
 from repro.client.subscriber import StreamConsumer, StreamError
 from repro.client.uplink import RestBatchUplink
+from repro.core.accounts import Role
 from repro.core.api import Request
 from repro.core.datamgmt import DataQuery
 from repro.core.errors import NotFoundError, ValidationError
@@ -546,6 +547,74 @@ class TestLiveMap:
             Request("GET", "/map/live", params={"region": "g0:0"}, token=token)
         )
         assert list(one.body["tiles"]) == ["g0:0"]
+
+
+class TestErasureLeavesTheMap:
+    """CNIL erasure moves the write marker: a built tile scope is
+    rebuilt from the store, never served with the erased rows."""
+
+    def manager_token(self, server):
+        server.enroll_user(APP, "boss", "pw")
+        server.accounts.set_role(APP, "boss", Role.MANAGER)
+        return server.handle(
+            Request(
+                "POST",
+                "/auth/login",
+                body={"app_id": APP, "user_id": "boss", "password": "pw"},
+            )
+        ).body["token"]
+
+    def erasure_server(self, sharding):
+        """alice's 50/51/52 and bob's 50/51 dB(A), all in cell g0:0."""
+        server = make_server(sharding=sharding)
+        server.enroll_user(APP, "alice", "pw")
+        server.enroll_user(APP, "bob", "pw")
+        ingest(server, [doc(i) for i in range(3)])
+        ingest(
+            server,
+            [doc(10 + i, user_id="bob", noise_dba=50.0 + i) for i in range(2)],
+        )
+        return server
+
+    def erase_alice(self, server):
+        resp = server.handle(
+            Request(
+                "DELETE",
+                f"/apps/{APP}/users/alice",
+                token=self.manager_token(server),
+            )
+        )
+        assert resp.status == 200
+        assert resp.body["deleted_observations"] == 3
+
+    @pytest.mark.parametrize("sharding", [None, 4])
+    def test_erased_contributor_leaves_the_live_map(self, sharding):
+        server = self.erasure_server(sharding)
+        # a reader built the scope before the erasure
+        assert server.streaming.tiles_snapshot(app_id=APP)["g0:0"]["count"] == 5
+        self.erase_alice(server)
+        after = server.streaming.tiles_snapshot(app_id=APP)
+        assert after == tiles_from_documents(stored(server), server.streaming.cell_m)
+        tile = after["g0:0"]
+        assert (tile["count"], tile["sum_dba"], tile["max_dba"]) == (2, 101.0, 51.0)
+        assert server.data.materialized.totals()["total"] == 2
+
+    @pytest.mark.parametrize("sharding", [None, 4])
+    def test_tile_subscriber_scope_rebuilds_at_the_next_batch(self, sharding):
+        server = self.erasure_server(sharding)
+        sub = server.streaming.subscribe(
+            FilterSpec(app_id=APP), observations=False, tiles=True
+        )
+        self.erase_alice(server)
+        # the batch after the erasure finds the marker moved: the scope
+        # is rebuilt from the store (which holds the batch) and the
+        # subscriber's delta carries the rebuilt state
+        ingest(server, [doc(20, user_id="bob", noise_dba=49.0)])
+        expected = tiles_from_documents(stored(server), server.streaming.cell_m)
+        (event,) = server.streaming.next_events(sub, limit=1000)["events"]
+        assert fold_tile_deltas([event]) == expected
+        assert event["count"] == 3
+        assert server.streaming.tiles_snapshot(app_id=APP) == expected
 
 
 class TestTileIsolation:
