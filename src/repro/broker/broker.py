@@ -80,12 +80,6 @@ class Broker:
         self._connection_ids = itertools.count(1)
         self.faults = faults
         self._delayed: List[Tuple[List[MessageQueue], Message, float]] = []
-        # delivery taps observe every (queue, message) the broker took
-        # responsibility for, *after* the enqueue (and therefore after
-        # the inline consumer dispatch) completed — the streaming
-        # plane's post-confirm hook. Registration is guarded by the
-        # broker lock; the calls themselves run outside it.
-        self._delivery_taps: List[Callable[[str, Message], None]] = []
         self.stats = BrokerStats()
         self._route_cache_size = route_cache_size
         self._route_cache: "OrderedDict[Tuple[str, str], Tuple[int, List[MessageQueue]]]" = (
@@ -136,30 +130,7 @@ class Broker:
         for queues, message, _ in releasable:
             for queue in queues:
                 queue.enqueue(message)
-                self._fire_delivery_taps(queue, message)
         return len(releasable)
-
-    # -- delivery taps ---------------------------------------------------------
-
-    def add_delivery_tap(self, tap: Callable[[str, Message], None]) -> None:
-        """Register a post-confirm delivery observer.
-
-        ``tap(queue_name, message)`` fires once per queue a published
-        message reached, strictly after that queue's enqueue returned —
-        by then the publish was confirmed and any inline auto-ack
-        consumer has already dispatched. Taps run outside every broker
-        lock and must not raise.
-        """
-        with self._lock:
-            self._delivery_taps.append(tap)
-
-    def _fire_delivery_taps(self, queue: MessageQueue, message: Message) -> None:
-        if not self._delivery_taps:
-            return
-        with self._lock:
-            taps = list(self._delivery_taps)
-        for tap in taps:
-            tap(queue.name, message)
 
     @property
     def delayed_count(self) -> int:
@@ -421,11 +392,8 @@ class Broker:
         # the queue lock and may publish back into this broker.
         for queue in queues:
             queue.enqueue(message)
-            self._fire_delivery_taps(queue, message)
             if duplicate:
-                duplicated = message.copy_with()
-                queue.enqueue(duplicated)
-                self._fire_delivery_taps(queue, duplicated)
+                queue.enqueue(message.copy_with())
         return len(queues)
 
     # -- connections ------------------------------------------------------------------

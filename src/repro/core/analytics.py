@@ -9,7 +9,7 @@ aggregates the Figure benches consume.
 The four highest-traffic statistics (totals, the Figure 9 per-model
 table, the Figure 8 cumulative curve, the Figure 20 provider shares)
 are additionally served from :class:`~repro.core.materialized.
-MaterializedAnalytics` counters when a view is attached and fresh; a
+MaterializedAnalytics` counters, which every read brings current; a
 view that is degraded (or a query variant the counters do not cover)
 falls back to the full pipeline, whose ``_*_pipeline`` forms are kept
 as both the fallback and the oracle the integration tests compare
@@ -30,11 +30,11 @@ class AnalyticsEngine:
 
     Args:
         store: the backing document store.
-        materialized: an externally maintained counter view to serve
-            the hot statistics from (the server shares the one its
-            ``DataManager`` feeds at ingest). When None, the engine
-            builds its own — kept exact by rebuild-on-write-detection
-            rather than by ingest notifications.
+        materialized: the counter view to serve the hot statistics
+            from (the server shares its ``DataManager``'s). When None,
+            the engine makes its own. Either way the view is built by
+            its first read and pulls what was inserted since at every
+            later one; no ingest step feeds it.
         observations: an override for the observations collection —
             any object with ``count``/``aggregate``. A sharded server
             passes its scatter-gather collection facade here so every

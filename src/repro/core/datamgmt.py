@@ -153,8 +153,9 @@ class DataManager(Packaging):
                 "location.accuracy_m",
             ]
         )
-        #: online per-model/per-day/per-provider counters, fed by ingest
-        #: and shared with the analytics engine by the server.
+        #: per-model/per-day/per-provider counters, built by their first
+        #: reader and kept by pulling what was inserted since; shared
+        #: with the analytics engine by the server.
         self.materialized = MaterializedAnalytics(self._observations)
         self._dedup_capacity = dedup_capacity
         # key -> True (unsharded) or the region string the observation
@@ -177,7 +178,9 @@ class DataManager(Packaging):
             Callable[[str, List[Tuple[Dict[str, Any], Any]]], None]
         ] = []
         #: public, re-entrant: serializes the whole dedup-check → insert
-        #: → observe → ledger-commit → count → notify sequence.
+        #: → ledger-commit → count → notify sequence. It covers no view:
+        #: the materialized counters and the columnar mirror pull what
+        #: was inserted when a reader asks.
         self.ingest_lock = concurrency.make_rlock()
 
     @property
@@ -242,7 +245,7 @@ class DataManager(Packaging):
                 raise ValidationError(
                     f"observation must be a dict, got {type(document).__name__}"
                 )
-        # the whole check → insert → observe → commit sequence runs
+        # the whole check → insert → commit sequence runs
         # under one lock: two threads redelivering the same obs_id must
         # resolve to exactly one stored document, never a double insert
         # from both missing the ledger at once.
@@ -287,7 +290,6 @@ class DataManager(Packaging):
                 ids = self._observations.insert_many(
                     to_store, copy=False, wal_meta=wal_meta
                 )
-                self.materialized.observe_batch(to_store)
                 for slot, doc_id in zip(slots, ids):
                     results[slot] = doc_id
                 self.ingested += len(ids)
@@ -369,7 +371,6 @@ class DataManager(Packaging):
                 ids = self._observations.insert_many(
                     documents, copy=False, wal_meta=wal_meta
                 )
-                self.materialized.observe_batch(documents)
             elif keys:
                 # ledger entries with no surviving documents (retention
                 # expiry, erasure) still need a journaled carrier.

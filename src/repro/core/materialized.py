@@ -5,25 +5,26 @@ The figure queries behind ``AnalyticsEngine.totals``,
 pure folds over the observations collection: each ingested document
 contributes O(1) to every counter. Rather than re-scanning 23M
 observations per dashboard refresh, :class:`MaterializedAnalytics`
-maintains those folds online — ``DataManager.ingest_many`` calls
-:meth:`observe_batch` after every successful insert — and the analytics
-engine consults them with a verified fallback to the full pipeline.
+keeps those folds beside the collection and brings them up to date when
+someone reads them; the analytics engine consults them with a verified
+fallback to the full pipeline. Nothing on the write path calls into the
+view.
 
 Correctness protocol (the counters must agree *exactly* with a full
 pipeline recomputation at all times):
 
 - **Marker.** The view remembers the collection's lifetime
   ``(inserts, updates, deletes)`` counters at the moment it was last
-  consistent. ``observe_batch`` applies documents incrementally only
-  when the live counters are exactly that many inserts ahead of it —
-  any other movement (retention deletes, contributor erasure, direct
-  inserts that bypassed ingest, updates) means writes happened that
-  the view did not see, and the view silently goes *dirty*.
-- **Lazy rebuild.** A dirty view rebuilds from a single pass over the
-  live documents on the next query, then resumes incremental updates.
-  Deletes therefore invalidate rather than decrement: a decrement
-  would need the deleted document's content, which the collection no
-  longer has.
+  current. Every read first asks ``Collection.inserted_since`` for the
+  documents inserted since that marker and folds them (the *tail*);
+  when anything but inserts moved the marker (retention deletes,
+  contributor erasure, updates, a drop) there is no tail and the view
+  rebuilds.
+- **Lazy build.** The first reader builds the view from a single pass
+  over the live documents, and so does the first reader after a
+  non-insert write. Deletes therefore rebuild rather than decrement: a
+  decrement would need the deleted document's content, which the
+  collection no longer has.
 - **Degraded fields.** The pipeline semantics the counters mirror can
   reject a document (``$divide`` on a boolean ``taken_at``) or hit an
   unhashable value the cheap fold cannot bucket. Those mark the
@@ -45,7 +46,7 @@ Mirrored pipeline semantics, for the record:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import concurrency
 from repro.docstore.aggregate import _safe_group_key
@@ -81,48 +82,28 @@ class MaterializedAnalytics:
         self._providers: Dict[Any, List[Any]] = {}  # key -> [value, count]
         self._degraded_models = False
         self._degraded_days = False
-        #: ingested documents accepted (marker verified) but not yet
-        #: folded — the write path stays O(1) per document and the
-        #: next analytics read drains the tail.
-        self._pending: List[Dict[str, Any]] = []
         # observability
         self.rebuilds = 0
         self.incremental_updates = 0
         self.invalidations = 0
-        with self._lock:
-            self._rebuild()
 
-    # -- write side -----------------------------------------------------------
+    # -- the fold of a pulled tail ----------------------------------------------
 
     def observe(self, document: Dict[str, Any]) -> None:
-        """Fold one just-inserted document: the batch of one."""
+        """Fold one pulled document: the batch of one."""
         self.observe_batch([document])
 
-    def observe_batch(self, documents: List[Dict[str, Any]]) -> None:
-        """Fold a just-inserted batch into the counters.
+    def observe_batch(self, documents: Sequence[Dict[str, Any]]) -> None:
+        """Fold a tail pulled by the view's own freshness step, in
+        insertion order (group first-seen order depends on it).
 
-        Call immediately after a successful ``insert_many``, which bumps
-        the collection's write marker once, by the batch size — so the
-        incremental fold applies only when the live counters are exactly
-        ``len(documents)`` inserts ahead of the marker; any other
-        movement dirties the view and it rebuilds on the next query.
-        The fold itself is deferred: the accepted documents go to a
-        pending buffer in insertion order (group first-seen order
-        depends on it), keeping ingest O(1) per document, and the next
-        analytics read drains them.
+        Nothing may call this as an ingest notification: the next read
+        pulls every inserted document itself, so a document handed in
+        here as well would be counted twice.
         """
-        if not documents:
-            return
         with self._lock:
-            marker = self._live_marker()
-            if not follows_inserts(self._marker, marker, len(documents)):
-                if self._marker is not None:
-                    self.invalidations += 1
-                self._marker = None
-                self._pending = []
-                return
-            self._pending.extend(documents)
-            self._marker = marker
+            for document in documents:
+                self._apply(document)
             self.incremental_updates += len(documents)
 
     # -- read side ------------------------------------------------------------
@@ -199,10 +180,18 @@ class MaterializedAnalytics:
             ]
 
     def info(self) -> Dict[str, Any]:
-        """Observability snapshot for the middleware stats endpoint."""
+        """Observability snapshot for the middleware stats endpoint.
+
+        ``fresh``: only inserts moved the write marker since the view
+        was last current, so the next read folds a tail instead of
+        rebuilding; an unbuilt view is not fresh.
+        """
         with self._lock:
+            marker = self._marker
+            live = self._collection.write_marker()
             return {
-                "fresh": self._marker == self._live_marker(),
+                "fresh": marker is not None
+                and follows_inserts(marker, live, live[0] - marker[0]),
                 "rebuilds": self.rebuilds,
                 "incremental_updates": self.incremental_updates,
                 "invalidations": self.invalidations,
@@ -211,25 +200,24 @@ class MaterializedAnalytics:
 
     # -- internals ------------------------------------------------------------
 
-    def _live_marker(self) -> Tuple[int, int, int]:
-        return self._collection.write_marker()
-
     def _ensure_fresh(self) -> None:
-        if self._marker != self._live_marker():
+        tail, live = self._collection.inserted_since(self._marker)
+        if tail is None:
+            if self._marker is not None:
+                self.invalidations += 1
             self._rebuild()
-        elif self._pending:
-            for document in self._pending:
-                self._apply(document)
-            self._pending = []
+        elif tail:
+            self.observe_batch(tail)
+            self._marker = live
 
     def _rebuild(self) -> None:
         # marker and document snapshot must come from *one* atomic look
         # at the collection: a write landing between reading the
         # counters and listing the documents would let the view claim
-        # freshness for a document it never folded (or fold one twice
-        # when observe() later replays it).
+        # freshness for a document it never folded (or pull it again
+        # as part of the next tail and fold it twice).
         with self._collection.read_locked():
-            marker = self._live_marker()
+            marker = self._collection.write_marker()
             documents = self._collection.iter_documents()
         self._total = 0
         self._localized = 0
@@ -238,7 +226,6 @@ class MaterializedAnalytics:
         self._providers = {}
         self._degraded_models = False
         self._degraded_days = False
-        self._pending = []
         for document in documents:
             self._apply(document)
         self._marker = marker

@@ -147,8 +147,9 @@ class GoFlowServer:
             for app_id in self.accounts.app_ids():
                 self.channels.register_app(app_id)
         self.jobs = JobManager(self.store, self._clock)
-        # the analytics engine serves its hot statistics from the same
-        # materialized counters the ingest path keeps fresh; pipeline
+        # the analytics engine serves its hot statistics from the data
+        # plane's materialized counters, which every read brings up to
+        # date from the store; pipeline
         # fallbacks read the data plane's collection (sharded: the
         # scatter-gather facade spanning every shard).
         self.analytics = AnalyticsEngine(
@@ -168,11 +169,6 @@ class GoFlowServer:
         # one delivery hook on either topology: it fires under the data
         # plane's ingest lock, so fan-out order is _id order.
         self.data.add_ingest_listener(self.streaming.on_stored)
-        # the post-confirm broker tap: counts GoFlow-queue deliveries
-        # the broker took responsibility for — by the time it fires,
-        # the inline consumer already ingested and the matching events
-        # are already in subscriber outboxes.
-        self.broker.add_delivery_tap(self._on_confirmed_delivery)
         self._register_routes()
         self._start_ingest()
 
@@ -206,12 +202,6 @@ class GoFlowServer:
         # never mutate the delivered body: the broker may have fanned the
         # same message out to subscriber queues.
         self.data.ingest_many(app_id, _drop_wire_ids([document], owned=False))
-
-    def _on_confirmed_delivery(self, queue_name: str, message: Any) -> None:
-        # only the ingest queue is streaming-relevant; client-facing
-        # subscription queues tap nothing.
-        if queue_name == GOFLOW_QUEUE:
-            self.streaming.on_broker_delivery(queue_name, message)
 
     # -- observability ----------------------------------------------------------
 

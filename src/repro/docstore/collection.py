@@ -25,6 +25,7 @@ of its own (see :class:`~repro.docstore.index.SortedIndex`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro import concurrency
@@ -56,10 +57,10 @@ def follows_inserts(
 
     The staleness rule of every view kept beside a collection's write
     marker (:meth:`Collection.write_marker`): a view current at
-    ``marker`` that is handed a just-inserted batch may fold it only
-    when this holds; any other movement — a delete, an update, an
-    insert it was not handed — means the view missed writes. A ``None``
-    marker (no consistent view) never follows.
+    ``marker`` may fold the newest ``inserted`` documents only when this
+    holds; any other movement — a delete, an update, a drop — means the
+    view must rebuild. A ``None`` marker (no consistent view) never
+    follows.
     """
     return marker is not None and live == (
         marker[0] + inserted,
@@ -212,9 +213,9 @@ class Collection:
 
         Read-only contract: callers must not mutate the listed dicts
         (updates swap whole document objects, so the snapshot stays
-        internally consistent even while writers proceed). Used by folds
-        that need one cheap pass (materialized analytics rebuilds) —
-        does not count as a query.
+        internally consistent even while writers proceed). Used by the
+        views that rebuild from one cheap pass (materialized analytics,
+        tile scopes) — does not count as a query.
         """
         with self._rw.read():
             return list(self._docs.values())
@@ -237,6 +238,32 @@ class Collection:
         with self._rw.read():
             stats = self.stats
             return (stats.inserts, stats.updates, stats.deletes)
+
+    def inserted_since(
+        self, marker: Optional[Tuple[int, int, int]]
+    ) -> Tuple[Optional[Tuple[Dict[str, Any], ...]], Tuple[int, int, int]]:
+        """``(tail, live)``: what a view current at ``marker`` must fold.
+
+        ``tail`` is the documents inserted since ``marker``, in
+        insertion order — ``()`` when the marker has not moved, and
+        ``None`` when anything but inserts moved it (or ``marker`` is
+        None), in which case the caller rebuilds. ``live`` is the write
+        marker the answer is current at. One read-locked look.
+        """
+        with self._rw.read():
+            return self._inserted_since_locked(marker)
+
+    def _inserted_since_locked(self, marker):
+        stats = self.stats
+        live = (stats.inserts, stats.updates, stats.deletes)
+        if live == marker:
+            return (), live
+        if marker is None or not follows_inserts(marker, live, live[0] - marker[0]):
+            return None, live
+        # dict order is insertion order, and a failed insert rolls back
+        # before the counters move: the newest k entries are the tail.
+        tail = tuple(islice(reversed(self._docs.values()), live[0] - marker[0]))
+        return tail[::-1], live
 
     def stats_snapshot(self) -> CollectionStats:
         """A coherent copy of the counters (no mid-write torn reads)."""
@@ -285,9 +312,11 @@ class Collection:
     def enable_columnar(self, fields: Iterable[str]):
         """Attach a columnar mirror over ``fields`` (replacing any prior).
 
-        The mirror keeps per-field numpy arrays in step with inserts and
-        rebuilds lazily after updates/deletes; ``aggregate`` dispatches
-        covered pipelines to its vectorized kernels. Requires numpy —
+        The mirror is built by its first reader and then pulls the
+        documents inserted since (:meth:`inserted_since`) into per-field
+        numpy arrays at each later read, rebuilding after an update,
+        delete or drop; ``aggregate`` dispatches covered pipelines to
+        its vectorized kernels. Requires numpy —
         without it the mirror stays attached but disabled, and every
         pipeline takes the row engines.
         """
@@ -440,8 +469,6 @@ class Collection:
             self._index_insert(doc_id, doc)
             self._docs[doc_id] = doc
             self.stats.inserts += 1
-            if self._columnar is not None:
-                self._columnar.on_insert(doc)
             return doc_id
 
     def insert_many(
@@ -452,10 +479,9 @@ class Collection:
     ) -> List[Any]:
         """Insert a batch atomically; returns ids in input order.
 
-        The write lock is taken once and the write marker advances once
-        (by the batch size), so downstream marker watchers — the
-        materialized analytics and the columnar mirror — see one batch
-        append instead of N invalidating single steps. Sorted-index
+        The write lock is taken once and the write marker advances once,
+        by the batch size; the views kept beside the marker pull the
+        batch at their next read (:meth:`inserted_since`). Sorted-index
         maintenance is bulk-loaded per batch. On any failure (duplicate
         ``_id``, unique-index violation) the already-placed prefix is
         rolled back and nothing is inserted. The durability journal
@@ -527,8 +553,6 @@ class Collection:
             for sindex in self._sorted_indexes.values():
                 sindex.insert_many(placed)
             self.stats.inserts += len(ids)
-            if self._columnar is not None:
-                self._columnar.on_insert_batch(docs)
             return ids
 
     # -- find -----------------------------------------------------------------------
@@ -647,8 +671,6 @@ class Collection:
                 result.upserted_id = self.insert_one(new_doc, _journal=False)
             else:
                 self.stats.updates += result.modified
-                if result.modified and self._columnar is not None:
-                    self._columnar.invalidate()
             return result
 
     # -- delete ---------------------------------------------------------------------
@@ -675,15 +697,12 @@ class Collection:
         """Remove every document (indexes stay declared)."""
         with self._rw.write():
             self._log({"op": "drop_docs"})
+            self.stats.deletes += len(self._docs)
             self._docs.clear()
             for index in self._hash_indexes.values():
                 index.clear()
             for sindex in self._sorted_indexes.values():
                 sindex.clear()
-            # drop does not move the write marker, so the mirror cannot
-            # detect it via the staleness protocol — invalidate explicitly
-            if self._columnar is not None:
-                self._columnar.invalidate()
 
     # -- aggregation convenience -------------------------------------------------------
 
@@ -886,5 +905,3 @@ class Collection:
         doc = self._docs.pop(doc_id)
         self._index_remove(doc_id, doc)
         self.stats.deletes += 1
-        if self._columnar is not None:
-            self._columnar.invalidate()

@@ -4,9 +4,9 @@ The paper's analytics (per-model tables, cumulative-by-day, provider
 shares over 23M observations) are column-shaped scans: they touch a
 handful of hot fields across every document. Row-at-a-time dict walking
 is the slowest possible way to serve them, so a collection can keep a
-**columnar mirror**: per-field numpy arrays maintained incrementally on
-the insert path and rebuilt lazily in one pass after updates/deletes
-invalidate them.
+**columnar mirror**: per-field numpy arrays that a reader extends with
+the documents inserted since the mirror's last read, and rebuilds in one
+pass after an update, delete or drop.
 
 Representation
 --------------
@@ -48,13 +48,14 @@ only when a plan reads it, so a field no kernel touches costs nothing
 (``sharded_durable`` ``peak_rss_mb`` 169 MB built eagerly against 159
 lazily; see ARCHITECTURE.md "Columnar fast path").
 
-Staleness follows the same write-marker protocol as
-``MaterializedAnalytics``: the mirror records the collection's
-``(inserts, updates, deletes)`` triple after every append; inserts that
-advance the marker by exactly the batch size append in place, anything
-else (updates, deletes, drops, surprises) invalidates every column, and
-the next columnar query re-takes the live documents under the
-collection's read lock.
+Staleness follows the same pull protocol as ``MaterializedAnalytics``:
+the mirror records the collection's ``(inserts, updates, deletes)``
+triple when it was last current, and nothing on the write path calls
+into it. A columnar query asks ``Collection.inserted_since`` under the
+collection's read lock: when only inserts moved the marker, their
+documents are appended in place; anything else (an unbuilt mirror,
+updates, deletes, drops) resets every column and re-takes the live
+documents.
 
 Kernels
 -------
@@ -94,6 +95,7 @@ except Exception:  # pragma: no cover - exercised by stubbing np to None
 
 from repro import concurrency
 from repro.docstore.clone import json_clone
+from repro.docstore.collection import follows_inserts
 from repro.docstore.errors import DocStoreError
 from repro.docstore.query import _is_operator_doc, get_path, is_missing
 
@@ -510,12 +512,12 @@ def _cond_truthy_path(operand: Any) -> Optional[str]:
 class ColumnarMirror:
     """Columnar shadow of a collection's hot fields plus its kernels.
 
-    Lifecycle: the owning :class:`Collection` calls ``on_insert`` /
-    ``on_insert_batch`` / ``invalidate`` with its write lock held, and
-    ``execute`` with its read lock held. The mirror's own re-entrant
-    lock (always acquired *after* the collection lock, never before)
-    serializes columnar readers against each other and guards the
-    pending-append buffers.
+    Lifecycle: the owning :class:`Collection` calls ``execute`` with
+    its read lock held and never calls into the mirror on a write; the
+    mirror pulls what was inserted since its marker at the next read.
+    The mirror's own re-entrant lock (always acquired *after* the
+    collection lock, never before) serializes columnar readers against
+    each other and guards the rows and columns.
     """
 
     def __init__(self, collection: Any, fields: Sequence[str]) -> None:
@@ -536,87 +538,52 @@ class ColumnarMirror:
         #: the mirrored rows, in order; a column holds the first
         #: ``column.rows`` of them and catches up when a plan reads it
         self._doc_refs: List[Dict[str, Any]] = []
-        #: inserted docs accepted (marker verified) but not yet moved
-        #: into ``_doc_refs`` — the write path stays O(1) per document.
-        self._pending: List[Dict[str, Any]] = []
+        #: the collection's write marker ``_doc_refs`` is current at;
+        #: None until the first reader builds the mirror
         self._marker: Optional[Tuple[int, int, int]] = None
-        self._dirty = True
         self.rebuilds = 0
         self.appends = 0
         self.invalidations = 0
         self.kernel_hits = 0
         self.fallbacks = 0
-        if self.enabled:
-            # the caller (Collection.enable_columnar) holds the write
-            # lock: take the current documents now so the mirror starts
-            # fresh and the very first insert appends in place.
-            self._doc_refs = list(collection._docs.values())
-            self._marker = self._live_marker()
-            self._dirty = False
 
-    # -- maintenance (collection write lock held) --------------------------------
-
-    def _live_marker(self) -> Tuple[int, int, int]:
-        stats = self._collection.stats
-        return (stats.inserts, stats.updates, stats.deletes)
+    # -- maintenance (collection read lock, then the mirror lock, held) ----------
 
     def on_insert(self, doc: Dict[str, Any]) -> None:
+        """Append one pulled document: the batch of one."""
         self.on_insert_batch((doc,))
 
     def on_insert_batch(self, docs: Sequence[Dict[str, Any]]) -> None:
-        """Append freshly inserted documents; the collection's counters
-        are already bumped, so the marker must have advanced by exactly
-        ``len(docs)`` inserts — anything else means a write path we did
-        not see, and the mirror goes stale instead of guessing."""
-        if not self.enabled or not docs:
-            return
-        with self._lock:
-            if self._dirty:
-                return
-            marker = self._live_marker()
-            prev = self._marker
-            if prev is None or marker != (prev[0] + len(docs), prev[1], prev[2]):
-                self._invalidate_locked()
-                return
-            self._pending.extend(docs)
-            self._marker = marker
-            self.appends += len(docs)
+        """Append a tail pulled by :meth:`_ensure_fresh_locked`.
 
-    def invalidate(self) -> None:
-        """Updates/deletes/drops mutate rows in place; drop the mirror."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._invalidate_locked()
-
-    def _invalidate_locked(self) -> None:
-        if not self._dirty:
-            self._dirty = True
-            self.invalidations += 1
-            for column in self._columns.values():
-                column.reset()
-            self._doc_refs = []
-            self._pending = []
+        Only the mirror's own freshness step calls this; nothing may
+        call it as an insert notification — a document appended twice
+        is a row counted twice.
+        """
+        self._doc_refs.extend(docs)
+        self.appends += len(docs)
 
     def _ensure_fresh_locked(self, fields: Iterable[str]) -> bool:
         """Bring ``fields``' columns up to the live rows; the caller
-        holds the collection read lock, so the snapshot is coherent.
+        holds the collection read lock, so the pulled tail is coherent.
 
-        A stale mirror re-takes the live documents first (a rebuild).
-        Columns no plan reads stay unbuilt, so they cost no memory.
+        The documents inserted since the mirror's marker are appended;
+        anything else (an unbuilt mirror, an update, a delete, a drop)
+        re-takes the live documents first (a rebuild). Columns no plan
+        reads stay unbuilt, so they cost no memory.
         """
-        marker = self._live_marker()
-        rebuilt = self._dirty or marker != self._marker
+        tail, live = self._collection._inserted_since_locked(self._marker)
+        rebuilt = tail is None
         if rebuilt:
+            if self._marker is not None:
+                self.invalidations += 1
             for column in self._columns.values():
                 column.reset()
             self._doc_refs = list(self._collection._docs.values())
-            self._marker = marker
-            self._dirty = False
             self.rebuilds += 1
-        else:
-            self._doc_refs.extend(self._pending)
-        self._pending = []
+        elif tail:
+            self.on_insert_batch(tail)
+        self._marker = live
         refs = self._doc_refs
         for field in fields:
             column = self._columns[field]
@@ -625,18 +592,24 @@ class ColumnarMirror:
         return rebuilt
 
     def info(self) -> Dict[str, Any]:
-        """Mirror health, surfaced via ``middleware_stats()['columnar']``."""
+        """Mirror health, surfaced via ``middleware_stats()['columnar']``.
+
+        ``fresh``: only inserts moved the write marker since the mirror
+        was last current (an unbuilt mirror is not fresh); ``rows``: the
+        rows the next read will hold while fresh, else None.
+        """
+        live = self._collection.write_marker()
         with self._lock:
+            marker = self._marker
+            fresh = marker is not None and follows_inserts(
+                marker, live, live[0] - marker[0]
+            )
             return {
                 "enabled": self.enabled,
                 "reason": self.disabled_reason,
                 "fields": list(self.fields),
-                "rows": (
-                    len(self._doc_refs) + len(self._pending)
-                    if not self._dirty
-                    else None
-                ),
-                "fresh": not self._dirty,
+                "rows": len(self._doc_refs) + live[0] - marker[0] if fresh else None,
+                "fresh": fresh,
                 "rebuilds": self.rebuilds,
                 "appends": self.appends,
                 "invalidations": self.invalidations,

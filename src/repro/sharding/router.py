@@ -204,6 +204,14 @@ class ShardedObservations:
             deletes += d
         return (inserts, updates, deletes)
 
+    def inserted_since(
+        self, marker: Optional[Tuple[int, int, int]]
+    ) -> Tuple[Optional[Tuple[Dict[str, Any], ...]], Tuple[int, int, int]]:
+        """No cross-shard tail is kept: ``()`` while the summed marker
+        has not moved, else None (the caller rebuilds)."""
+        live = self.write_marker()
+        return ((), live) if live == marker else (None, live)
+
     def stats_snapshot(self) -> CollectionStats:
         total = CollectionStats()
         for shard in self._shards():

@@ -46,9 +46,10 @@ One staleness rule, the write marker: each scope records
 ``collection.write_marker()`` when it is built and moves it forward
 with every batch it is handed, and it may fold a batch only when the
 live marker is exactly ``len(batch)`` inserts ahead
-(:func:`~repro.docstore.collection.follows_inserts`, the rule
-``MaterializedAnalytics`` keeps too). Any other movement — contributor
-erasure, a rebalance, a direct collection write, recovery replay —
+(:func:`~repro.docstore.collection.follows_inserts`, the rule behind
+the ``Collection.inserted_since`` pull of ``MaterializedAnalytics`` and
+the columnar mirror). Any other movement — contributor erasure, a
+rebalance, a direct collection write, a drop, recovery replay —
 drops the scope and its next reader rebuilds it; a scope with live tile
 subscribers is rebuilt at once instead, from a store that already
 holds the batch, so the batch is not folded again. A snapshot whose
@@ -296,8 +297,6 @@ class SubscriptionManager:
         self._dropped = 0
         self._lagged = 0
         self._polls = 0
-        #: post-confirm deliveries observed through the broker tap
-        self._confirmed_deliveries = 0
 
     @property
     def cell_m(self) -> float:
@@ -640,17 +639,6 @@ class SubscriptionManager:
                 sub.outbox.drain()
                 self._evictions += 1
 
-    # -- broker delivery tap -------------------------------------------------
-
-    def on_broker_delivery(self, queue_name: str, message: Any) -> None:
-        """Post-confirm broker tap: counts deliveries that reached a
-        queue. The streaming plane's evidence that push happens *after*
-        the broker took responsibility — by the time the tap fires for
-        an ingest delivery, the matching events are already fanned out
-        (the consumer dispatch ran inside the enqueue)."""
-        with self._lock:
-            self._confirmed_deliveries += 1
-
     # -- consumer side -------------------------------------------------------
 
     def next_events(
@@ -784,8 +772,5 @@ class SubscriptionManager:
                     "regions": sum(len(t.engine) for t in self._scopes.values()),
                     "deltas": sum(t.engine.deltas for t in self._scopes.values()),
                     "app_engines": sum(1 for scope in self._scopes if scope is not None),
-                },
-                "broker_tap": {
-                    "confirmed_deliveries": self._confirmed_deliveries
                 },
             }

@@ -58,40 +58,48 @@ class TestDedupCheckThenInsertRace:
     """Two concurrent redeliveries of one obs_id must store one doc.
 
     The race window sits between the ledger miss and the insert; the
-    rendezvous is planted in ``anonymize_ingest``, which runs exactly
-    there. Locked, the second thread is still waiting on the ingest
-    lock, so only one thread reaches the barrier and it times out.
+    rendezvous is planted in ``anonymize_ingest_many``, which runs
+    exactly there. Locked, the second thread is still waiting on the
+    ingest lock, so only one thread reaches the barrier and it times
+    out. Both legs assert the seam was hit, so a refactor that moves
+    it fails loudly instead of leaving the barrier dead.
     """
 
-    def _race_once(self, server) -> int:
+    def _race_once(self, server) -> tuple:
         barrier = threading.Barrier(2)
+        hits = []
 
-        original = server.privacy.anonymize_ingest
+        original = server.privacy.anonymize_ingest_many
 
-        def rendezvous(document):
+        def rendezvous(documents, owned=False):
+            hits.append(1)
             try:
                 barrier.wait(timeout=0.5)
             except threading.BrokenBarrierError:
                 pass  # the lock held the other thread out — correct
-            return original(document)
+            return original(documents, owned=owned)
 
-        server.privacy.anonymize_ingest = rendezvous
+        server.privacy.anonymize_ingest_many = rendezvous
         _run_threads(
             lambda: server.data.ingest(APP, _observation("dup-1")),
             lambda: server.data.ingest(APP, _observation("dup-1")),
         )
-        return server.data.collection.count({"obs_id": "dup-1"})
+        return server.data.collection.count({"obs_id": "dup-1"}), len(hits)
 
     def test_locked_stores_exactly_once(self):
         server = GoFlowServer()
         server.register_app(APP)
-        assert self._race_once(server) == 1
+        stored, hits = self._race_once(server)
+        assert hits > 0
+        assert stored == 1
 
     def test_lock_disabled_double_inserts(self):
         with concurrency.lock_mode("off"):
             server = GoFlowServer()
             server.register_app(APP)
-            assert self._race_once(server) == 2
+            stored, hits = self._race_once(server)
+        assert hits > 0
+        assert stored == 2
 
 
 class TestTornMiddlewareStatsRead:
@@ -154,21 +162,22 @@ class TestTornMiddlewareStatsRead:
 
 class TestStaleMaterializedViewRace:
     """A write between marker read and rebuild snapshot must not fool
-    the view into double-counting (the satellite-2 regression).
+    the view into double-counting.
 
-    Sequence forced here: the rebuild reads the write marker, then —
-    before it lists the documents — an insert lands and is *also*
-    replayed through ``observe``. Unlocked, the rebuild folds the new
-    document under the old marker, ``observe`` matches marker+1 and
-    applies it again: total = stored + 1, and the view believes it is
-    fresh (a permanently wrong dashboard). Locked, the collection's
-    read lock holds the insert out until the snapshot is atomic.
+    Sequence forced here: the view's first read rebuilds it, and the
+    rebuild reads the write marker — then, before it lists the
+    documents, an insert lands. Unlocked, the rebuild folds the new
+    document under the old marker, the next read pulls it again as the
+    tail inserted since that marker: total = stored + 1, and the view
+    believes it is fresh (a permanently wrong dashboard). Locked, the
+    collection's read lock holds the insert out until the snapshot is
+    atomic, and the next read pulls it once.
     """
 
     def _race_once(self) -> tuple:
         collection = Collection("observations")
-        view = MaterializedAnalytics(collection)
-        collection.insert_one({"model": "nexus4", "taken_at": 100.0})  # view dirty
+        view = MaterializedAnalytics(collection)  # unbuilt until read
+        collection.insert_one({"model": "nexus4", "taken_at": 100.0})
 
         rebuild_at_marker = threading.Event()
         insert_done = threading.Event()
@@ -178,10 +187,10 @@ class TestStaleMaterializedViewRace:
         def hooked_marker():
             marker = original()
             calls.append(marker)
-            # the freshness probe in _ensure_fresh reads the marker
-            # first; the *second* read is the one inside _rebuild —
-            # that is the race window this test pries open.
-            if len(calls) == 2:
+            # an unbuilt view's first read goes straight to _rebuild, so
+            # the *first* marker read is the one inside it — the race
+            # window this test pries open.
+            if len(calls) == 1:
                 rebuild_at_marker.set()
                 insert_done.wait(timeout=0.5)
             return marker
@@ -189,7 +198,7 @@ class TestStaleMaterializedViewRace:
         collection.write_marker = hooked_marker
 
         def rebuilder():
-            view.totals()  # dirty view -> rebuild -> hooked marker read
+            view.totals()  # unbuilt view -> rebuild -> hooked marker read
 
         def writer():
             assert rebuild_at_marker.wait(timeout=2.0)
@@ -198,19 +207,20 @@ class TestStaleMaterializedViewRace:
 
         _run_threads(rebuilder, writer)
         insert_done.wait(timeout=2.0)
-        # the ingest protocol replays the insert through observe()
-        view.observe({"model": "nexus4", "taken_at": 200.0})
+        # the next read pulls whatever was inserted since the marker
         totals = view.totals()
-        return totals["total"], len(collection), view.info()["fresh"]
+        return totals["total"], len(collection), view.info()["fresh"], len(calls)
 
     def test_locked_rebuild_snapshot_is_atomic(self):
-        total, stored, fresh = self._race_once()
+        total, stored, fresh, hits = self._race_once()
+        assert hits > 0
         assert total == stored == 2
         assert fresh
 
     def test_lock_disabled_double_counts_and_claims_fresh(self):
         with concurrency.lock_mode("off"):
-            total, stored, fresh = self._race_once()
+            total, stored, fresh, hits = self._race_once()
+        assert hits > 0
         assert stored == 2
         assert total == 3  # the racing insert was folded twice
         assert fresh  # and the view cannot even tell it is wrong

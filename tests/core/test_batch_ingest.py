@@ -296,12 +296,21 @@ class TestStatsContract:
             "enabled", "reason", "fields", "rows", "fresh",
             "rebuilds", "appends", "invalidations", "kernel_hits", "fallbacks",
         }
-        if section["enabled"]:
-            assert section["fresh"] is True
-            assert section["rows"] == 8
-            assert "model" in section["fields"]
-        else:
+        if not section["enabled"]:
             assert section["reason"]
+            return
+        # built by its first reader, not by the writes
+        assert section["fresh"] is False
+        assert section["rows"] is None
+        assert section["rebuilds"] == section["appends"] == 0
+        assert "model" in section["fields"]
+        server.analytics.top_contributors("m0")
+        uplink.send([_payload(i) for i in range(8, 12)])
+        section = server.middleware_stats()["columnar"]
+        assert section["fresh"] is True
+        assert section["rows"] == 12  # the next read's rows, tail included
+        assert section["rebuilds"] == 1
+        assert section["appends"] == 0
 
     def test_observations_section_counts_index_folds(self):
         server, credentials = _server()

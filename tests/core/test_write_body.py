@@ -287,7 +287,6 @@ _COMMON_TREE = {
             "candidates", "dropped", "lagged_markers", "polls",
         ),  # fmt: skip
         "tiles": _leaves("regions", "deltas", "app_engines"),
-        "broker_tap": _leaves("confirmed_deliveries"),
     },
 }
 

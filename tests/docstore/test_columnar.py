@@ -169,10 +169,19 @@ class TestWriteTracking:
 
     def test_pending_rows_counted_before_drain(self):
         collection = _mirrored()
+        mirror = collection._columnar
+        # the first reader builds the mirror
+        assert collection.columnar_info()["fresh"] is False
+        assert collection.columnar_info()["rows"] is None
+        _check(collection, GROUP_PIPELINE)
         collection.insert_many(_docs(7))
         info = collection.columnar_info()
         assert info["fresh"] is True
-        assert info["rows"] == len(collection)
+        assert info["rows"] == len(collection)  # the tail not yet pulled
+        assert mirror.appends == 0
+        _check(collection, GROUP_PIPELINE)
+        assert mirror.appends == 7
+        assert collection.columnar_info()["rows"] == len(collection)
 
     def test_update_invalidates_then_rebuilds(self):
         collection = _mirrored()
@@ -237,12 +246,15 @@ class TestLazyColumns:
         assert self._built(mirror) == {
             "_id": 0, "model": 45, "noise_dba": 45, "taken_at": 0, "location": 45,
         }
-        # invalidation resets every column; the rebuild fills the reader's
+        # an update writes nothing to the mirror: the next read finds the
+        # marker moved, resets every column and fills the reader's
         collection.update_many({"model": "m2"}, {"$set": {"noise_dba": 55.0}})
-        assert set(self._built(mirror).values()) == {0}
+        assert self._built(mirror)["location"] == 45
         result = _check(collection, self.TOP_K)
         assert result.explain["columnar"]["rebuilt"] is True
-        assert self._built(mirror)["location"] == 0
+        assert self._built(mirror) == {
+            "_id": 0, "model": 45, "noise_dba": 45, "taken_at": 0, "location": 0,
+        }
         result = _check(collection, GROUP_PIPELINE)
         assert result.explain["strategy"] == "columnar"
         assert result.explain["columnar"]["rebuilt"] is False

@@ -19,6 +19,18 @@ from repro.docstore.store import DocumentStore
 
 MODELS = ["A0001", "NEXUS 5", "GT-I9505"]
 PROVIDERS = ["gps", "network", "fused"]
+APP = "SC"
+
+
+def _observation(seq):
+    return {
+        "user_id": f"user-{seq % 3}",
+        "obs_id": f"obs:{seq}",
+        "model": MODELS[seq % len(MODELS)],
+        "taken_at": 1000.0 + seq,
+        "noise_dba": 50.0 + seq,
+        "location": {"provider": "gps", "x_m": 10.0 * seq, "y_m": 20.0},
+    }
 
 
 def _assert_exact_agreement(engine):
@@ -119,5 +131,44 @@ class TestMaterializedExactness:
 
         server = GoFlowServer()
         assert server.analytics._materialized is server.data.materialized
-        stats = server.middleware_stats()
-        assert stats["materialized"]["fresh"] is True
+        # a new server's view stays unbuilt until something reads it
+        stats = server.middleware_stats()["materialized"]
+        assert stats["fresh"] is False
+        assert stats["rebuilds"] == 0
+        server.register_app(APP)
+        server.data.ingest_many(APP, [_observation(i) for i in range(3)])
+        assert server.middleware_stats()["materialized"]["rebuilds"] == 0
+        assert server.analytics.totals()["total"] == 3
+        stats = server.middleware_stats()["materialized"]
+        assert stats["fresh"] is True
+        assert stats["rebuilds"] == 1
+        _assert_exact_agreement(server.analytics)
+
+
+class TestDropReachesTheViews:
+    """``Collection.drop`` moves the write marker, so every view kept
+    beside it — the materialized counters and the tile scopes — serves
+    the now-empty store at its next read."""
+
+    def test_drop_empties_counters_and_tiles(self):
+        from repro.core.server import GoFlowServer
+        from repro.streaming.tiles import tiles_from_documents
+
+        server = GoFlowServer()
+        server.register_app(APP)
+        server.data.ingest_many(APP, [_observation(i) for i in range(5)])
+        analytics, streaming = server.analytics, server.streaming
+        assert analytics.totals()["total"] == 5
+        tiles = streaming.tiles_snapshot(app_id=APP)
+        assert sum(tile["count"] for tile in tiles.values()) == 5
+
+        collection = server.data.collection
+        collection.drop()
+        assert len(collection) == 0
+        assert analytics.totals() == analytics._totals_pipeline()
+        assert analytics.totals() == {"total": 0, "localized": 0}
+        _assert_exact_agreement(analytics)
+        assert streaming.tiles_snapshot(app_id=APP) == tiles_from_documents(
+            collection.iter_documents(), streaming.cell_m
+        )
+        assert streaming.tiles_snapshot(app_id=APP) == {}

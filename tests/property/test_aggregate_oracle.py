@@ -289,6 +289,12 @@ class TestThreeEngineTriangulation:
         # post-rebuild inserts take the incremental append path
         collection.insert_many([{"k": "z", "v": 1, "w": 0.5}, {"k": "z", "v": 2}])
         _triangulate(collection, pipeline)
+        # a drop moves the marker too: the next query rebuilds from the
+        # empty store, and later inserts append to it
+        collection.drop()
+        _triangulate(collection, pipeline)
+        collection.insert_many(docs[:3] + [{"k": "y", "v": 3}])
+        _triangulate(collection, pipeline)
 
     @settings(max_examples=30, deadline=None)
     @given(DOCUMENTS, PIPELINES)

@@ -13,6 +13,7 @@ from repro.core.accounts import Role
 from repro.core.api import Request
 from repro.core.datamgmt import DataQuery
 from repro.core.errors import NotFoundError, ValidationError
+from repro.core.channels import GOFLOW_QUEUE
 from repro.core.server import GoFlowServer
 from repro.streaming import (
     FilterSpec,
@@ -515,7 +516,7 @@ class TestClientConsumer:
 
 
 class TestBrokerTap:
-    def test_tap_counts_confirmed_ingest_deliveries(self):
+    def test_goflow_queue_counts_confirmed_deliveries(self):
         server = make_server()
         sub = server.streaming.subscribe()
         credentials = server.enroll_user(APP, "alice", "pw")
@@ -526,10 +527,12 @@ class TestBrokerTap:
                 "Z0-0.NoiseObservation",
                 doc(i),
             )
-        stats = server.middleware_stats()["streaming"]
-        assert stats["broker_tap"]["confirmed_deliveries"] == 3
-        # by tap time the events were already fanned out
-        assert stats["fanned_out"] == 3
+        # the GoFlow queue's own counters are the delivery evidence
+        queue_stats = server.broker.get_queue(GOFLOW_QUEUE).stats
+        assert queue_stats.enqueued == 3
+        assert queue_stats.delivered == 3
+        # by the time the publish returned, the events were fanned out
+        assert server.middleware_stats()["streaming"]["fanned_out"] == 3
         assert len(server.streaming.next_events(sub)["events"]) == 3
 
 
