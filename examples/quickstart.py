@@ -140,8 +140,8 @@ def main() -> None:
     # The server above is in-memory: a crash loses everything. Pass
     # durable=True and a data directory to journal every write through
     # a write-ahead log and recover snapshot + log on startup — the
-    # dedup ledger is restored too, so exactly-once ingest survives a
-    # kill -9 between two server lives:
+    # unique obs_id index is rebuilt with the documents, so exactly-once
+    # ingest survives a kill -9 between two server lives:
     #
     #     server = GoFlowServer(durable=True, data_dir="/var/lib/goflow")
     #     server.store.checkpoint()   # compact the log into a snapshot

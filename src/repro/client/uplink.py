@@ -191,12 +191,12 @@ class RestBatchUplink:
     One POST per :meth:`send` call — one radio session per batch, with
     the server amortizing dedup, anonymization, index maintenance and
     analytics updates across it. Delivery stays exactly-once end to
-    end: the endpoint is idempotent per observation (server dedup
-    ledger), the batch insert is atomic, and the ledger only learns
-    ``obs_id`` values after a successful insert. A 2xx therefore means
-    every document is durably stored (or already was), and any failure
-    means *nothing* from the batch was committed — the client simply
-    retransmits the whole batch and the ledger rolls it forward.
+    end: the endpoint is idempotent per observation (the server's
+    unique ``obs_id`` index), the batch insert is atomic, and a key
+    enters the index only with its stored document. A 2xx therefore
+    means every document is durably stored (or already was), and any
+    failure means *nothing* from the batch was committed — the client
+    simply retransmits the whole batch and it rolls forward.
 
     Args:
         server: the :class:`~repro.core.server.GoFlowServer` (the
@@ -237,7 +237,7 @@ class RestBatchUplink:
         except Exception as error:
             raise UplinkError(f"batch uplink failed: {error}") from error
         if not response.ok:
-            # batch-atomic insert + ledger-commit-after-insert: a non-2xx
+            # batch-atomic insert, obs_id keys stored with it: a non-2xx
             # means nothing landed, so the whole batch is cleanly
             # retryable with no maybe-delivered ambiguity.
             raise UplinkError(

@@ -9,7 +9,7 @@ each subsystem guarding its state with locks created here.
 Two primitives:
 
 - :func:`make_rlock` — a re-entrant mutex for mutually exclusive state
-  (broker topology, queue dispatch, the ingest ledger);
+  (broker topology, queue dispatch, the ingest path);
 - :func:`make_rwlock` — a reader-friendly :class:`RWLock` for the
   document store, where dashboard queries vastly outnumber writes and
   must not serialize against each other.

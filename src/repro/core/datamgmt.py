@@ -9,9 +9,8 @@ observations collection after the privacy policy has pseudonymized them.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import concurrency
 from repro.core.errors import ValidationError
@@ -21,8 +20,24 @@ from repro.docstore.store import DocumentStore
 
 OBSERVATIONS = "observations"
 
-#: Default bound on the ingest dedup ledger (obs_ids remembered).
-DEFAULT_DEDUP_CAPACITY = 100_000
+#: The right-to-erasure tombstones, one ``{app_id, contributor}`` each.
+ERASURES = "erasures"
+
+
+def validate_observations(documents: List[Any]) -> None:
+    """Refuse a batch the write body cannot store, before any of it is:
+    a non-dict observation, or an ``obs_id`` that is not a string (the
+    dedup key must be one hashable scalar)."""
+    for document in documents:
+        if not isinstance(document, dict):
+            raise ValidationError(
+                f"observation must be a dict, got {type(document).__name__}"
+            )
+        if "obs_id" in document and not isinstance(document["obs_id"], str):
+            raise ValidationError(
+                "obs_id must be a string, got "
+                f"{type(document['obs_id']).__name__}"
+            )
 
 
 @dataclass
@@ -98,32 +113,26 @@ class Packaging:
 class DataManager(Packaging):
     """Stores and retrieves crowd-sensed observations.
 
+    The observations collection is its own dedup ledger: a unique hash
+    index on the stored ``obs_id`` (see :meth:`ingest_many`). Recovery,
+    checkpoints and shard rebalancing keep exactly-once for free — they
+    move documents, and the index follows the documents. Two limits
+    follow from the ledger being the store:
+
+    - a right-to-erasure request leaves a tombstone ``{app_id,
+      contributor}`` in the ``erasures`` collection of the same store,
+      and ingest refuses that contributor's later uploads to that app
+      (deleting the documents alone would forget their keys and let a
+      redelivery store them again);
+    - an observation that retention already expired is stored again
+      when it is redelivered: its key left with it.
+
     Args:
         store: the backing document store.
         privacy: the CNIL policy applied at ingest and sharing.
-        dedup_capacity: bound on the idempotence ledger — how many
-            recently seen ``obs_id`` values are remembered to collapse
-            at-least-once broker deliveries into exactly-once storage.
-            0 disables deduplication.
-        region_fn: when this manager is one shard of a sharded
-            deployment, the router's region routing key function. Each
-            ledger entry then remembers the region its observation
-            routed by (journaled alongside the key in the insert's WAL
-            record), so a topology change can hand a region's dedup
-            state to the shard that now owns it.
     """
 
-    def __init__(
-        self,
-        store: DocumentStore,
-        privacy: PrivacyPolicy,
-        dedup_capacity: int = DEFAULT_DEDUP_CAPACITY,
-        region_fn: Optional[Callable[[Dict[str, Any]], str]] = None,
-    ) -> None:
-        if dedup_capacity < 0:
-            raise ValidationError(
-                f"dedup_capacity must be >= 0, got {dedup_capacity}"
-            )
+    def __init__(self, store: DocumentStore, privacy: PrivacyPolicy) -> None:
         self._store = store
         self._privacy = privacy
         self._observations = store.collection(OBSERVATIONS)
@@ -134,6 +143,11 @@ class DataManager(Packaging):
         self._observations.create_index("contributor", kind="hash", exist_ok=True)
         self._observations.create_index(
             "location.provider", kind="hash", exist_ok=True
+        )
+        #: the dedup ledger: stored ``obs_id`` -> ``_id``, probed by
+        #: ingest under ``ingest_lock`` alone (see :meth:`ingest_many`)
+        self._obs_ids = self._observations.create_index(
+            "obs_id", kind="hash", unique=True, exist_ok=True
         )
         # columnar mirror over the figure-query hot fields: vectorized
         # $match/$group/$sort kernels serve covered analytics pipelines
@@ -157,30 +171,33 @@ class DataManager(Packaging):
         #: reader and kept by pulling what was inserted since; shared
         #: with the analytics engine by the server.
         self.materialized = MaterializedAnalytics(self._observations)
-        self._dedup_capacity = dedup_capacity
-        # key -> True (unsharded) or the region string the observation
-        # routed by (sharded): the value is what lets rebalancing find
-        # and move a region's ledger entries.
-        self._dedup_ledger: "OrderedDict[str, Any]" = OrderedDict()
-        self._region_fn = region_fn
-        #: observations stored / collapsed by the ledger since start,
+        # erasure tombstones: journaled, checkpointed and recovered with
+        # the store; the set is their in-memory copy, kept under
+        # ``ingest_lock``.
+        self._erasures = store.collection(ERASURES)
+        self._erased: Set[Tuple[Any, Any]] = {
+            (doc.get("app_id"), doc.get("contributor"))
+            for doc in self._erasures.iter_documents()
+        }
+        #: observations stored / collapsed as duplicates since start,
         #: whoever called; both move inside ``ingest_many`` under
-        #: ``ingest_lock``, so they can never drift from the ledger.
+        #: ``ingest_lock``, so they can never drift from the index.
         self.ingested = 0
         self.dedup_hits = 0
         # ingest listeners receive every *stored* observation as
-        # ``(document, stored_id)`` pairs, called after the insert and
-        # the ledger commit, still inside the ingest lock: listener
-        # order therefore equals insertion order, which is what gives
-        # the subscription plane gap-free, duplicate-free streams.
-        # Deduplicated deliveries never reach a listener.
+        # ``(document, stored_id)`` pairs, called after the insert,
+        # still inside the ingest lock: listener order therefore equals
+        # insertion order, which is what gives the subscription plane
+        # gap-free, duplicate-free streams. Deduplicated deliveries
+        # never reach a listener.
         self._ingest_listeners: List[
             Callable[[str, List[Tuple[Dict[str, Any], Any]]], None]
         ] = []
-        #: public, re-entrant: serializes the whole dedup-check → insert
-        #: → ledger-commit → count → notify sequence. It covers no view:
-        #: the materialized counters and the columnar mirror pull what
-        #: was inserted when a reader asks.
+        #: public, re-entrant: serializes the whole probe → insert →
+        #: count → notify sequence, and every other writer of the
+        #: ``obs_id`` index (adopt, erasure, rebalance removal). It
+        #: covers no view: the materialized counters and the columnar
+        #: mirror pull what was inserted when a reader asks.
         self.ingest_lock = concurrency.make_rlock()
 
     @property
@@ -201,8 +218,8 @@ class DataManager(Packaging):
         """Register a stored-observation listener (the delta stream).
 
         ``listener(app_id, [(document, stored_id), ...])`` runs under
-        the ingest lock, after the ledger committed — exactly once per
-        stored observation, never for a deduplicated delivery.
+        the ingest lock, after the insert — exactly once per stored
+        observation, never for a deduplicated delivery.
         """
         self._ingest_listeners.append(listener)
 
@@ -222,206 +239,115 @@ class DataManager(Packaging):
         **idempotent** over ``obs_id``: the uplink is at-least-once
         (retries after unconfirmed publishes, broker redeliveries,
         retransmitted batches), so clients stamp each observation with
-        a stable ``obs_id`` and a redelivered document is recognized
-        against the bounded ledger and skipped. The returned list is
-        parallel to ``documents`` — a stored id per new observation,
-        None per deduplicated one (an ``obs_id`` already in the ledger,
-        or repeated earlier in the same call). Documents without an
-        ``obs_id`` (legacy producers, feedback blobs) are stored
-        unconditionally.
+        a stable ``obs_id`` (a string, or :class:`ValidationError`). The
+        key is the *stored* ``obs_id`` — after the pseudonym rewrite,
+        which maps two deliveries of one observation to one key — and a
+        document whose key the unique ``obs_id`` index already holds,
+        or that repeats earlier in the same call, is skipped; so is one
+        whose contributor was erased from ``app_id``. The returned list
+        is parallel to ``documents`` — a stored id per new observation,
+        None per skipped one. Documents without an ``obs_id`` (legacy
+        producers, feedback blobs) are stored unconditionally.
 
         ``owned=True`` declares the documents server-owned already —
         e.g. freshly parsed from a wire body — so pseudonymization may
         scrub them in place instead of cloning first. Never pass
         caller-retained documents as owned.
 
+        The probe reads the index under ``ingest_lock`` only, without
+        the collection's read lock. That is sound because every writer
+        of the index holds ``ingest_lock`` — this method, :meth:`adopt`,
+        erasure and :meth:`remove_documents` — except a collection-level
+        delete (retention) or ``drop``; a probe racing one of those sees
+        the state before or after it, and both are valid orders. The
+        unique index is the backstop: a double insert that slipped past
+        the probe (locks disabled) raises ``DuplicateKeyError`` and
+        rolls its batch back; it is never stored twice.
+
         Failure keeps the exactly-once contract: ``insert_many`` rolls
-        the whole call back and nothing reaches the ledger, so a
+        the whole call back and the index keeps none of its keys, so a
         client's redelivery rolls forward instead of becoming a dedup
         hit (silent data loss).
         """
-        for document in documents:
-            if not isinstance(document, dict):
-                raise ValidationError(
-                    f"observation must be a dict, got {type(document).__name__}"
-                )
-        # the whole check → insert → commit sequence runs
-        # under one lock: two threads redelivering the same obs_id must
-        # resolve to exactly one stored document, never a double insert
-        # from both missing the ledger at once.
+        validate_observations(documents)
+        stored = self._privacy.anonymize_ingest_many(documents, owned=owned)
+        for document in stored:
+            document["app_id"] = app_id
         with self.ingest_lock:
-            results: List[Optional[Any]] = [None] * len(documents)
-            fresh: List[Dict[str, Any]] = []
-            slots: List[int] = []
-            # wire-form ledger key -> region (sharded) or True, in input
-            # order: the seen-in-this-call set, the insert's WAL meta
-            # and the ledger commit at once.
-            pending: Dict[str, Any] = {}
-            region_fn = self._region_fn
-            for slot, document in enumerate(documents):
-                obs_id = document.get("obs_id")
-                if obs_id is not None and self._dedup_capacity:
-                    ledger_key = str(obs_id)
-                    if ledger_key in self._dedup_ledger:
-                        self._dedup_ledger.move_to_end(ledger_key)
-                        continue
-                    if ledger_key in pending:
-                        continue
-                    pending[ledger_key] = (
-                        True if region_fn is None else region_fn(document)
-                    )
-                slots.append(slot)
-                fresh.append(document)
+            fresh, slots = self._unseen(stored)
             self.dedup_hits += len(documents) - len(fresh)
+            results: List[Optional[Any]] = [None] * len(documents)
             if fresh:
-                to_store = self._privacy.anonymize_ingest_many(fresh, owned=owned)
-                for stored in to_store:
-                    stored["app_id"] = app_id
-                # the ledger keys travel inside the insert's WAL record:
-                # recovery re-learns them if and only if the insert
-                # itself survived, keeping exactly-once across a kill -9.
-                wal_meta = None
-                if pending:
-                    wal_meta = {"ledger": list(pending)}
-                    if region_fn is not None:
-                        wal_meta["regions"] = list(pending.values())
-                # to_store are private copies already: the collection
-                # takes ownership rather than cloning a second time.
-                ids = self._observations.insert_many(
-                    to_store, copy=False, wal_meta=wal_meta
-                )
+                # the stored forms are private copies already: the
+                # collection takes ownership rather than cloning again.
+                ids = self._observations.insert_many(fresh, copy=False)
                 for slot, doc_id in zip(slots, ids):
                     results[slot] = doc_id
                 self.ingested += len(ids)
-                # the ledger learns the keys only now, once the
-                # documents are stored.
-                self._dedup_ledger.update(pending)
-                while len(self._dedup_ledger) > self._dedup_capacity:
-                    self._dedup_ledger.popitem(last=False)
-                stored_pairs = list(zip(to_store, ids))
+                stored_pairs = list(zip(fresh, ids))
                 for listener in self._ingest_listeners:
                     listener(app_id, stored_pairs)
             return results
 
-    def restore_ledger(
-        self, keys: List[str], regions: Optional[List[Any]] = None
-    ) -> int:
-        """Reload the idempotence ledger after crash recovery.
-
-        ``keys`` come from ``DocumentStore.recover`` (snapshot state +
-        the ledger metadata of every replayed insert record), oldest
-        first; only the most recent ``dedup_capacity`` survive, exactly
-        like the live LRU. ``regions`` is the parallel per-key region
-        list recovered alongside (sharded deployments). Returns the
-        resulting ledger size.
-        """
-        with self.ingest_lock:
-            if not self._dedup_capacity:
-                return 0
-            for index, key in enumerate(keys):
-                key = str(key)
-                value: Any = True
-                if regions is not None and index < len(regions):
-                    value = regions[index]
-                if key in self._dedup_ledger:
-                    self._dedup_ledger.move_to_end(key)
-                self._dedup_ledger[key] = value
-            while len(self._dedup_ledger) > self._dedup_capacity:
-                self._dedup_ledger.popitem(last=False)
-            return len(self._dedup_ledger)
+    def _unseen(
+        self, documents: List[Dict[str, Any]]
+    ) -> Tuple[List[Dict[str, Any]], List[int]]:
+        """The storage-form ``documents`` to insert, and their slots:
+        those whose ``obs_id`` neither the index nor an earlier document
+        of the list holds, from a contributor not erased from their app.
+        Callers hold ``ingest_lock``."""
+        index = self._obs_ids
+        erased = self._erased
+        seen: Set[str] = set()
+        fresh: List[Dict[str, Any]] = []
+        slots: List[int] = []
+        for slot, document in enumerate(documents):
+            key = document.get("obs_id")
+            if key is not None:
+                if key in index or key in seen:
+                    continue
+                seen.add(key)
+            if erased and (
+                (document.get("app_id"), document.get("contributor")) in erased
+            ):
+                continue
+            fresh.append(document)
+            slots.append(slot)
+        return fresh, slots
 
     # -- shard rebalancing ----------------------------------------------------
 
-    def ledger_entries_for(
-        self, regions: Optional[Iterable[str]]
-    ) -> List[Tuple[str, Any]]:
-        """The ledger entries whose observations routed by ``regions``
-        (None: every region-tagged entry — a draining shard hands them
-        all off)."""
-        wanted = None if regions is None else set(regions)
-        with self.ingest_lock:
-            return [
-                (key, value)
-                for key, value in self._dedup_ledger.items()
-                if (isinstance(value, str) if wanted is None else value in wanted)
-            ]
-
-    def adopt(
-        self,
-        documents: List[Dict[str, Any]],
-        ledger_entries: List[Tuple[str, Any]],
-    ) -> List[Any]:
+    def adopt(self, documents: List[Dict[str, Any]]) -> List[Any]:
         """Rebalance receive path: take ownership of already-stored
         observations handed off by another shard.
 
         ``documents`` are storage-form clones that keep their global
         ``_id``s; they replay through the journaled ``insert_many``
-        path with the handed-off ledger keys/regions riding the WAL
-        record, so both the documents and the dedup state survive a
-        crash mid-rebalance exactly like a first ingest would.
+        path, so they — and with them their ``obs_id`` keys — survive a
+        crash mid-rebalance exactly like a first ingest would. A
+        document whose ``obs_id`` this shard already holds (one client
+        reusing a stamp across regions) is not adopted: its observation
+        is stored here already. Returns the adopted ids.
         """
         with self.ingest_lock:
-            ids: List[Any] = []
-            keys = [key for key, _ in ledger_entries]
-            values = [value for _, value in ledger_entries]
-            if documents:
-                wal_meta = None
-                if keys:
-                    wal_meta = {"ledger": keys, "regions": values}
-                ids = self._observations.insert_many(
-                    documents, copy=False, wal_meta=wal_meta
-                )
-            elif keys:
-                # ledger entries with no surviving documents (retention
-                # expiry, erasure) still need a journaled carrier.
-                journal = self._store.journal
-                if journal is not None:
-                    journal.log(
-                        {
-                            "op": "ledger",
-                            "c": OBSERVATIONS,
-                            "keys": keys,
-                            "regions": values,
-                        }
-                    )
-            if self._dedup_capacity:
-                for key, value in ledger_entries:
-                    if key in self._dedup_ledger:
-                        self._dedup_ledger.move_to_end(key)
-                    self._dedup_ledger[key] = value
-                while len(self._dedup_ledger) > self._dedup_capacity:
-                    self._dedup_ledger.popitem(last=False)
-            return ids
-
-    def release_keys(self, keys: Iterable[str]) -> int:
-        """Rebalance send path: forget handed-off ledger entries.
-
-        Live-state hygiene only (not journaled): stale keys in this
-        shard's WAL are harmless because the region no longer routes
-        here, while the adopting shard's journal now owns the entries.
-        """
-        with self.ingest_lock:
-            removed = 0
-            for key in keys:
-                if self._dedup_ledger.pop(key, None) is not None:
-                    removed += 1
-            return removed
+            fresh, _ = self._unseen(documents)
+            if not fresh:
+                return []
+            return self._observations.insert_many(fresh, copy=False)
 
     def remove_documents(self, ids: Iterable[Any]) -> int:
         """Rebalance send path: journaled delete of handed-off docs."""
         removed = 0
-        for doc_id in ids:
-            removed += self._observations.delete_one({"_id": doc_id})
+        with self.ingest_lock:
+            for doc_id in ids:
+                removed += self._observations.delete_one({"_id": doc_id})
         return removed
 
     def dedup_info(self) -> Dict[str, int]:
-        """Observability snapshot of the idempotence ledger."""
+        """The dedup ledger: ``size`` is the ``obs_id``s the index
+        holds, ``hits`` the deliveries it collapsed."""
         with self.ingest_lock:
-            return {
-                "size": len(self._dedup_ledger),
-                "capacity": self._dedup_capacity,
-                "hits": self.dedup_hits,
-            }
+            return {"size": len(self._obs_ids), "hits": self.dedup_hits}
 
     def reliability_snapshot(self) -> Dict[str, Any]:
         """Delivery counters and the ledger in one coherent look."""
@@ -441,11 +367,35 @@ class DataManager(Packaging):
         return {"enabled": False}
 
     def delete_contributor_data(self, app_id: str, user_id: str) -> int:
-        """CNIL right-to-erasure: drop a contributor's observations."""
+        """CNIL right-to-erasure: drop a contributor's observations.
+
+        The tombstone is journaled before the delete, so a redelivery of
+        an erased observation — or a new one from the same contributor
+        to the same app — is refused even after a crash between the
+        two. Returns the number of observations deleted.
+        """
         pseudonym = self._privacy.pseudonym(user_id)
-        return self._observations.delete_many(
-            {"app_id": app_id, "contributor": pseudonym}
-        )
+        with self.ingest_lock:
+            self.record_erasures([(app_id, pseudonym)])
+            return self._observations.delete_many(
+                {"app_id": app_id, "contributor": pseudonym}
+            )
+
+    def erasures(self) -> Set[Tuple[Any, Any]]:
+        """The ``(app_id, contributor pseudonym)`` pairs erased here."""
+        with self.ingest_lock:
+            return set(self._erased)
+
+    def record_erasures(self, pairs: Iterable[Tuple[Any, Any]]) -> None:
+        """Tombstone ``(app_id, contributor)`` pairs not yet recorded
+        (a new shard learns the fleet's erasures through this)."""
+        with self.ingest_lock:
+            for app_id, contributor in pairs:
+                if (app_id, contributor) not in self._erased:
+                    self._erasures.insert_one(
+                        {"app_id": app_id, "contributor": contributor}
+                    )
+                    self._erased.add((app_id, contributor))
 
     # -- retrieval ------------------------------------------------------------
 

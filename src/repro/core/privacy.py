@@ -102,8 +102,10 @@ class PrivacyPolicy:
         the document store. That guarantee covers every persisted field:
         a dedup ``obs_id`` that embeds the raw id (legacy clients stamp
         ``<user_id>:<seq>``) is rewritten onto the pseudonym before
-        storage — deduplication happens upstream on the wire form, so
-        the rewrite cannot split retry duplicates.
+        storage. Deduplication keys on this stored form, and the
+        rewrite cannot split retry duplicates: two deliveries of one
+        observation carry the same ``user_id`` and ``obs_id``, so they
+        rewrite to the same key.
 
         Two arms: ``owned=True`` scrubs in place — only for documents
         the caller exclusively owns (e.g. just parsed from a wire body);

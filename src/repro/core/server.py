@@ -76,8 +76,9 @@ class GoFlowServer:
         durable: opt-in crash safety — recover the document store from
             ``data_dir`` (snapshot + write-ahead log) on startup and
             journal every write from here on. The ingest dedup ledger
-            is restored from the log, so the exactly-once guarantee
-            survives a kill -9 between two server lives.
+            is the observations' unique ``obs_id`` index, rebuilt with
+            the documents, so the exactly-once guarantee survives a
+            kill -9 between two server lives.
         data_dir: durable-mode data directory (required with durable).
         wal_config: a :class:`repro.docstore.wal.WalConfig` overriding
             the sync/rotation defaults (group commit, segment size).
@@ -132,14 +133,6 @@ class GoFlowServer:
         else:
             self.router = None
             self.data = DataManager(self.store, self.privacy)
-            if durable:
-                # the ledger keys replayed out of the WAL make a
-                # restarted server dedupe retransmissions exactly like
-                # the one that crashed would have. (A sharded router
-                # restores each shard's ledger itself.)
-                self.data.restore_ledger(
-                    self.store.recovered_state.get("dedup_ledger", [])
-                )
         if durable:
             # broker topology is transient (the broker is not journaled):
             # redeclare each recovered app's exchange so clients can log
@@ -180,7 +173,7 @@ class GoFlowServer:
 
     @property
     def deduped(self) -> int:
-        """Redeliveries collapsed by the dedup ledger (all shards)."""
+        """Redeliveries collapsed by the dedup index (all shards)."""
         return self.data.dedup_hits
 
     # -- ingest path ------------------------------------------------------------
@@ -201,7 +194,10 @@ class GoFlowServer:
         app_id = document.get("app_id") or "unknown-app"
         # never mutate the delivered body: the broker may have fanned the
         # same message out to subscriber queues.
-        self.data.ingest_many(app_id, _drop_wire_ids([document], owned=False))
+        try:
+            self.data.ingest_many(app_id, _drop_wire_ids([document], owned=False))
+        except ValidationError:
+            return  # no storable form (say, a non-string obs_id): dropped
 
     # -- observability ----------------------------------------------------------
 

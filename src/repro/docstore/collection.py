@@ -436,7 +436,6 @@ class Collection:
         self,
         document: Dict[str, Any],
         copy: bool = True,
-        wal_meta: Optional[Dict[str, Any]] = None,
         _journal: bool = True,
     ) -> Any:
         """Insert a document; returns its ``_id``.
@@ -445,9 +444,6 @@ class Collection:
         ``document`` instead of cloning it — only for callers that built
         the dict themselves and never touch it again (the ingest path).
 
-        ``wal_meta`` rides along in the durability journal record (the
-        ingest path stores the dedup-ledger keys there so recovery can
-        rebuild exactly-once state atomically with the insert).
         ``_journal=False`` is internal: sub-operations of an already
         journaled op (the upsert insert) must not journal twice.
         """
@@ -462,10 +458,7 @@ class Collection:
             if doc_id in self._docs:
                 raise DuplicateKeyError(f"duplicate _id {doc_id!r} in {self.name!r}")
             if _journal:
-                record: Dict[str, Any] = {"op": "insert", "docs": [doc]}
-                if wal_meta:
-                    record["meta"] = wal_meta
-                self._log(record)
+                self._log({"op": "insert", "docs": [doc]})
             self._index_insert(doc_id, doc)
             self._docs[doc_id] = doc
             self.stats.inserts += 1
@@ -475,7 +468,6 @@ class Collection:
         self,
         documents: Iterable[Dict[str, Any]],
         copy: bool = True,
-        wal_meta: Optional[Dict[str, Any]] = None,
     ) -> List[Any]:
         """Insert a batch atomically; returns ids in input order.
 
@@ -485,8 +477,8 @@ class Collection:
         maintenance is bulk-loaded per batch. On any failure (duplicate
         ``_id``, unique-index violation) the already-placed prefix is
         rolled back and nothing is inserted. The durability journal
-        sees the whole batch as one record, appended (with ``wal_meta``)
-        before any in-memory state moves.
+        sees the whole batch as one record, appended before any
+        in-memory state moves.
         """
         docs: List[Dict[str, Any]] = []
         for document in documents:
@@ -513,10 +505,7 @@ class Collection:
                     seen.add(doc_id)
                 except TypeError:
                     raise DocStoreError(f"_id must be hashable, got {doc_id!r}")
-            record: Dict[str, Any] = {"op": "insert_many", "docs": docs}
-            if wal_meta:
-                record["meta"] = wal_meta
-            self._log(record)
+            self._log({"op": "insert_many", "docs": docs})
             ids: List[Any] = []
             placed: List[Tuple[Any, Dict[str, Any]]] = []
             # non-unique hash indexes are bulk-loaded after placement

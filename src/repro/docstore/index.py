@@ -7,7 +7,7 @@ Two index kinds back the query planner:
   sorted lazily on the first read (``bisect``), the stand-in for
   MongoDB's B-tree.
 
-Indexes map a field path to sets of document ids. Documents whose
+Indexes map a field path to document ids. Documents whose
 indexed field is missing are not indexed (sparse behaviour); the planner
 therefore only uses an index when the predicate implies field presence
 (equality/range do).
@@ -59,7 +59,13 @@ def _index_keys(document: Dict[str, Any], path: str, simple: bool = False) -> Li
 
 
 class HashIndex:
-    """Equality index; optionally unique."""
+    """Equality index; optionally unique.
+
+    A non-unique index maps each key to the set of ids holding it. A
+    unique index maps each key to its one id, bare: a set per key would
+    cost about four times the memory on an index as large as the store
+    (the ingest path's ``obs_id`` index holds a key per observation).
+    """
 
     def __init__(self, path: str, unique: bool = False) -> None:
         if not path:
@@ -67,20 +73,24 @@ class HashIndex:
         self.path = path
         self.unique = unique
         self._simple = "." not in path
-        self._map: Dict[Any, Set[Any]] = {}
+        self._map: Dict[Any, Any] = {}
 
     def insert(self, doc_id: Any, document: Dict[str, Any]) -> None:
         """Index ``document`` under ``doc_id``; enforces uniqueness."""
         keys = _index_keys(document, self.path, self._simple)
+        mapping = self._map
         if self.unique:
             for key in keys:
-                existing = self._map.get(key)
-                if existing and existing != {doc_id}:
+                existing = mapping.get(key, _ABSENT)
+                if existing is not _ABSENT and existing != doc_id:
                     raise DuplicateKeyError(
                         f"duplicate value {key!r} for unique index on {self.path!r}"
                     )
+            for key in keys:
+                mapping[key] = doc_id
+            return
         for key in keys:
-            self._map.setdefault(key, set()).add(doc_id)
+            mapping.setdefault(key, set()).add(doc_id)
 
     def insert_many(self, entries: List[Tuple[Any, Dict[str, Any]]]) -> None:
         """Bulk-load ``(doc_id, document)`` pairs; non-unique only.
@@ -129,26 +139,41 @@ class HashIndex:
                 mapping.setdefault(key, set()).add(doc_id)
 
     def remove(self, doc_id: Any, document: Dict[str, Any]) -> None:
-        """Drop ``document``'s entries."""
+        """Drop ``document``'s entries (absent ones are tolerated)."""
+        mapping = self._map
         for key in _index_keys(document, self.path, self._simple):
-            bucket = self._map.get(key)
+            if self.unique:
+                if mapping.get(key, _ABSENT) == doc_id:
+                    del mapping[key]
+                continue
+            bucket = mapping.get(key)
             if bucket is not None:
                 bucket.discard(doc_id)
                 if not bucket:
-                    del self._map[key]
+                    del mapping[key]
 
     def clear(self) -> None:
         """Drop every entry."""
         self._map.clear()
 
+    def __contains__(self, value: Any) -> bool:
+        """Whether any document is indexed under ``value``; the caller
+        passes a hashable key."""
+        return value in self._map
+
     def lookup(self, value: Any) -> Set[Any]:
         """Document ids whose field equals ``value``."""
         try:
-            return set(self._map.get(value, set()))
+            found = self._map.get(value, _ABSENT)
         except TypeError:
             return set()
+        if found is _ABSENT:
+            return set()
+        return {found} if self.unique else set(found)
 
     def __len__(self) -> int:
+        if self.unique:
+            return len(self._map)
         return sum(len(bucket) for bucket in self._map.values())
 
 

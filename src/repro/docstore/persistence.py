@@ -11,8 +11,8 @@ is one JSON object per line:
 - one ``{"type": "doc", "collection": ..., "doc": {...}}`` line per
   document;
 - optional ``{"type": "state", "key": ..., "value": ...}`` lines for
-  middleware state that must survive compaction (the ingest dedup
-  ledger) but lives outside any collection.
+  state that must survive compaction but lives outside any collection
+  (the WAL checkpoint keeps its last LSN there).
 
 Loading replays declarations then inserts — indexes are rebuilt, and
 unique constraints re-verified, on the way in. Only JSON-serializable
@@ -58,7 +58,7 @@ def dump_store(
         path: target file; replaced atomically on success, untouched on
             any failure.
         state: extra middleware state to persist as ``state`` records
-            (the WAL checkpoint stores the dedup ledger here).
+            (the WAL checkpoint stores its last LSN here).
         wal_start: recorded in the header when the snapshot is a WAL
             checkpoint — the first log segment to replay on recovery.
     """

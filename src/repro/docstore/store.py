@@ -36,9 +36,6 @@ class DocumentStore:
         self._lock = concurrency.make_rlock()
         #: write-ahead log shared by every collection (None = in-memory)
         self._journal: Optional[Any] = None
-        #: middleware state recovered alongside the documents (e.g. the
-        #: ingest dedup ledger); empty for in-memory stores.
-        self.recovered_state: Dict[str, Any] = {}
 
     # -- durability -----------------------------------------------------------
 
@@ -55,8 +52,7 @@ class DocumentStore:
         Replays the latest snapshot plus every surviving write-ahead-log
         record — idempotently, truncating at the first torn record —
         then attaches a live journal so subsequent writes keep being
-        logged. ``store.recovered_state`` carries the middleware state
-        (dedup-ledger keys) the log preserved across the crash.
+        logged.
 
         Args:
             directory: data directory; created when absent.

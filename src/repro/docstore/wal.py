@@ -29,12 +29,12 @@ GSN's stream storage use):
   live), then deletes the compacted segments. A crash at any point
   leaves either the old snapshot + all segments or the new snapshot
   whose header excludes the covered segments — never a double replay.
-- **Exactly-once across the crash.** Ingest's dedup-ledger keys ride
-  inside the very insert record they belong to (``meta.ledger``), so
-  recovery rebuilds the ledger atomically with the documents: a
-  retransmitted batch after recovery deduplicates exactly as it would
-  have before the crash. Checkpoints persist the ledger as snapshot
-  ``state`` so compaction never forgets it.
+- **Exactly-once across the crash.** Ingest's dedup ledger is the
+  observations collection's unique ``obs_id`` index, so it needs no
+  record of its own: replaying the insert records rebuilds the index
+  with the documents, and a retransmitted batch after recovery
+  deduplicates exactly as it would have before the crash. Snapshots
+  carry the index declaration, so compaction never forgets it either.
 
 Record format, one per line::
 
@@ -56,7 +56,6 @@ import json
 import os
 import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -338,23 +337,22 @@ class WriteAheadLog:
                 self._rotate_locked()
                 live_start = self._seq
             self._emit("compact:rotated")
-            shadow, state, shadow_stats = _replay_directory(
+            shadow, shadow_stats = _replay_directory(
                 self._dir,
                 name=self._store_name,
                 clock=None,
                 upto_seq=live_start - 1,
                 repair=False,
             )
-            # LSNs stay monotonic across compactions: the snapshot
-            # remembers the highest one it swallowed.
-            state["_wal"] = {"lsn": shadow_stats["last_lsn"]}
             new_path = self._dir / _SNAPSHOT_NEW
             from repro.docstore.persistence import dump_store
 
             docs = dump_store(
                 shadow,
                 new_path,
-                state=state,
+                # LSNs stay monotonic across compactions: the snapshot
+                # remembers the highest one it swallowed.
+                state={"_wal": {"lsn": shadow_stats["last_lsn"]}},
                 wal_start=live_start,
             )
             self._emit("compact:pre-replace")
@@ -408,28 +406,9 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _learn_ledger(ledger: "OrderedDict[str, Any]", meta: Dict[str, Any]) -> None:
-    """Learn dedup keys (and, sharded, their regions) from a record.
-
-    ``regions`` is a parallel list added by sharded deployments; plain
-    deployments journal keys only and every entry learns as ``True``.
-    """
-    keys = meta.get("ledger")
-    if keys is None:
-        keys = meta.get("keys", ())
-    regions = meta.get("regions", ())
-    for index, key in enumerate(keys):
-        key = str(key)
-        value = regions[index] if index < len(regions) else True
-        if key in ledger:
-            ledger.move_to_end(key)
-        ledger[key] = value
-
-
 def _apply_record(
     store: DocumentStore,
     record: Dict[str, Any],
-    ledger: "OrderedDict[str, Any]",
     stats: Dict[str, int],
 ) -> None:
     """Replay one journal record onto ``store``.
@@ -437,10 +416,7 @@ def _apply_record(
     Failed operations are skipped, not fatal: an op that raised live
     (say a unique-index violation journaled before the violation was
     discovered) deterministically raises again on the identical
-    pre-state, which is exactly the equivalence recovery needs. Ledger
-    keys are learned only when their insert record applied — mirroring
-    the live rule that the ledger learns an id only after a successful
-    insert.
+    pre-state, which is exactly the equivalence recovery needs.
     """
     op = record.get("op")
     try:
@@ -453,11 +429,6 @@ def _apply_record(
                 collection.insert_one(docs[0], copy=False)
             else:
                 collection.insert_many(docs, copy=False)
-            _learn_ledger(ledger, record.get("meta", {}))
-        elif op == "ledger":
-            # standalone dedup-state carrier: shard rebalancing hands
-            # off ledger entries whose documents no longer exist
-            _learn_ledger(ledger, record)
         elif op == "update":
             store.collection(record["c"])._update(
                 record["filter"],
@@ -502,10 +473,10 @@ def _replay_directory(
     clock: Optional[Callable[[], float]],
     upto_seq: Optional[int] = None,
     repair: bool = True,
-) -> Tuple[DocumentStore, Dict[str, Any], Dict[str, Any]]:
+) -> Tuple[DocumentStore, Dict[str, Any]]:
     """Rebuild a store from ``directory``'s snapshot + segments.
 
-    Returns ``(store, state, stats)``. ``upto_seq`` bounds which
+    Returns ``(store, stats)``. ``upto_seq`` bounds which
     segments replay (compaction's shadow pass stops before the live
     segment). With ``repair`` the torn tail is truncated on disk and
     segments beyond a tear are deleted; the shadow pass never modifies
@@ -528,14 +499,6 @@ def _replay_directory(
         store = DocumentStore(name=name, clock=clock)
         state = {}
         wal_start = 1
-    snapshot_regions = state.get("dedup_regions", ())
-    ledger: "OrderedDict[str, Any]" = OrderedDict(
-        (
-            str(key),
-            snapshot_regions[i] if i < len(snapshot_regions) else True,
-        )
-        for i, key in enumerate(state.get("dedup_ledger", ()))
-    )
     last_lsn = int(state.pop("_wal", {}).get("lsn", 0))
     last_seq = wal_start - 1
     torn = False
@@ -564,7 +527,7 @@ def _replay_directory(
                 if isinstance(seg_store, str) and not stats["snapshot_loaded"]:
                     store.name = seg_store
                 continue
-            _apply_record(store, record, ledger, stats)
+            _apply_record(store, record, stats)
         stats["segments_replayed"] += 1
         last_seq = max(last_seq, seq)
         if torn_here:
@@ -575,11 +538,9 @@ def _replay_directory(
                     handle.truncate(good_bytes)
                     handle.flush()
                     os.fsync(handle.fileno())
-    state["dedup_ledger"] = list(ledger)
-    state["dedup_regions"] = list(ledger.values())
     stats["last_lsn"] = last_lsn
     stats["last_seq"] = last_seq
-    return store, state, stats
+    return store, stats
 
 
 def recover_store(
@@ -604,7 +565,7 @@ def recover_store(
     for stray in directory.iterdir():
         if stray.name.endswith(".tmp") or stray.name == _SNAPSHOT_NEW:
             stray.unlink(missing_ok=True)
-    store, state, stats = _replay_directory(directory, name=name, clock=clock)
+    store, stats = _replay_directory(directory, name=name, clock=clock)
     wal = WriteAheadLog(
         directory,
         config,
@@ -614,6 +575,5 @@ def recover_store(
         clock=clock,
     )
     wal.recovery_stats = stats
-    store.recovered_state = state
     store.attach_journal(wal)
     return store

@@ -4,8 +4,8 @@ Shards are keyed by *where* an observation was taken, mirroring the
 paper's per-region noise-map partitioning. The key is derived only
 from ingest-stable fields (region/location/taken_at survive the
 privacy scrub unchanged), so the wire form and the stored form of the
-same observation always route to the same shard — the dedup ledger
-lives on exactly one shard per observation.
+same observation always route to the same shard — its ``obs_id`` dedup
+key lives on exactly one shard.
 
 Never raises: observations with no usable location fall back to a
 per-day bucket, and anything else lands in ``"default"``.

@@ -3,7 +3,8 @@
 Each :class:`Shard` is a vertical slice of the middleware data plane —
 its own :class:`~repro.docstore.store.DocumentStore` (with its own WAL
 when durable) and its own :class:`~repro.core.datamgmt.DataManager`
-(privacy scrub, dedup ledger, materialized analytics, columnar mirror).
+(privacy scrub, the ``obs_id`` dedup index, materialized analytics,
+columnar mirror).
 
 :class:`ShardRouter` keeps the shards behind the ``DataManager``
 surface the server already speaks:
@@ -24,10 +25,13 @@ surface the server already speaks:
   otherwise. Results carry ``explain["strategy"] == "scattered"`` with
   per-shard detail.
 - **Rebalancing** (``add_shard``/``remove_shard``) re-rings the
-  topology and hands each relocated region's documents *and dedup
-  ledger entries* to the new owner through the journaled write path,
-  so exactly-once survives both the move and a crash in the middle of
-  it; a durable router repairs half-finished handoffs at startup.
+  topology and hands each relocated region's documents to the new
+  owner through the journaled write path. Each shard's dedup ledger is
+  its store's unique ``obs_id`` index, so the keys follow the
+  documents and exactly-once survives both the move and a crash in the
+  middle of it; a durable router repairs half-finished handoffs at
+  startup. Erasure tombstones are on every shard: an erasure reaches
+  them all, and a new shard learns the fleet's tombstones.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 from repro import concurrency
 from repro.core.datamgmt import (
-    DEFAULT_DEDUP_CAPACITY,
     DataManager,
     DataQuery,
     OBSERVATIONS,
     Packaging,
+    validate_observations,
 )
 from repro.core.errors import ValidationError
 from repro.core.privacy import PrivacyPolicy
@@ -88,7 +92,6 @@ class ShardingConfig:
         shards: shard count (named ``shard-00`` …) or explicit names.
         vnodes: virtual nodes per shard on the hash ring.
         cell_m: grid cell size of the region routing key.
-        dedup_capacity: per-shard dedup ledger bound.
     """
 
     def __init__(
@@ -96,7 +99,6 @@ class ShardingConfig:
         shards: Union[int, Sequence[str]] = 4,
         vnodes: int = DEFAULT_VNODES,
         cell_m: float = DEFAULT_CELL_M,
-        dedup_capacity: int = DEFAULT_DEDUP_CAPACITY,
     ) -> None:
         if isinstance(shards, int):
             if shards < 1:
@@ -110,7 +112,6 @@ class ShardingConfig:
                 raise ValidationError("shard names must be unique")
         self.vnodes = vnodes
         self.cell_m = cell_m
-        self.dedup_capacity = dedup_capacity
 
 
 class Shard:
@@ -402,7 +403,6 @@ class ShardRouter(Packaging):
         self._clock = clock
         self._config = config or ShardingConfig()
         self._cell_m = self._config.cell_m
-        self._dedup_capacity = self._config.dedup_capacity
         self._durable = durable
         self._wal_config = wal_config
         if durable:
@@ -479,20 +479,7 @@ class ShardRouter(Packaging):
             )
         else:
             store = DocumentStore(name=f"shard:{name}", clock=self._clock)
-        # bind the value, not ``self.region_for``: no shard → router cycle
-        cell_m = self._cell_m
-        data = DataManager(
-            store,
-            self._privacy,
-            dedup_capacity=self._dedup_capacity,
-            region_fn=lambda doc: region_of(doc, cell_m),
-        )
-        if self._data_dir is not None:
-            state = store.recovered_state
-            data.restore_ledger(
-                state.get("dedup_ledger", []), state.get("dedup_regions")
-            )
-        return Shard(name, store, data)
+        return Shard(name, store, DataManager(store, self._privacy))
 
     def _advance_id_past_existing(self) -> None:
         top = 0
@@ -574,13 +561,10 @@ class ShardRouter(Packaging):
         whole fleet. A deduplicated delivery burns its id — gaps are
         harmless, only the relative order matters. Ids are stamped in
         input order, so the stored pairs the listeners receive are
-        already in ``_id`` order.
+        already in ``_id`` order. The batch is validated whole before
+        any shard stores a part of it.
         """
-        for document in documents:
-            if not isinstance(document, dict):
-                raise ValidationError(
-                    f"observation must be a dict, got {type(document).__name__}"
-                )
+        validate_observations(documents)
         with self._topology.read(), self.ingest_lock:
             docs = documents if owned else [dict(doc) for doc in documents]
             start = self._next_id
@@ -689,10 +673,13 @@ class ShardRouter(Packaging):
         return sum(shard.data.count(query) for shard in self._shards_snapshot())
 
     def delete_contributor_data(self, app_id: str, user_id: str) -> int:
-        return sum(
-            shard.data.delete_contributor_data(app_id, user_id)
-            for shard in self._shards_snapshot()
-        )
+        """Erase on every shard, each leaving its tombstone. The ingest
+        pause keeps a rebalance from adding a shard mid-erasure."""
+        with self.ingest_paused():
+            return sum(
+                shard.data.delete_contributor_data(app_id, user_id)
+                for shard in self._shards.values()
+            )
 
     def dedup_info(self) -> Dict[str, int]:
         size = hits = 0
@@ -700,7 +687,7 @@ class ShardRouter(Packaging):
             info = shard.data.dedup_info()
             size += info["size"]
             hits += info["hits"]
-        return {"size": size, "capacity": self._dedup_capacity, "hits": hits}
+        return {"size": size, "hits": hits}
 
     # -- coherent stats -------------------------------------------------------
 
@@ -711,12 +698,12 @@ class ShardRouter(Packaging):
 
     @property
     def dedup_hits(self) -> int:
-        """Redeliveries the shards' ledgers collapsed."""
+        """Redeliveries the shards' ``obs_id`` indexes collapsed."""
         return sum(shard.data.dedup_hits for shard in self._shards_snapshot())
 
     def reliability_snapshot(self) -> Dict[str, Any]:
         """``DataManager.reliability_snapshot`` under the router's
-        ingest lock — every shard's counters and ledger move only inside
+        ingest lock — every shard's counters and index move only inside
         it (or under the topology write lock), so the merged counters
         are as coherent as one shard's would be."""
         with self._topology.read(), self.ingest_lock:
@@ -772,8 +759,8 @@ class ShardRouter(Packaging):
             validate_shard_name(name)
             if name in self._shards:
                 raise ValidationError(f"shard name unavailable: {name!r}")
-            shard = self._build_shard(name)
-            self._shards[name] = shard
+            self._shards[name] = self._build_shard(name)
+            self._share_erasures()
             self._ring.add_node(name)
             moved = 0
             for src_name in sorted(self._shards):
@@ -785,8 +772,8 @@ class ShardRouter(Packaging):
 
     def remove_shard(self, name: str) -> Dict[str, Any]:
         """Drain and retire one shard, handing every region it owned to
-        the ring's remaining owners (documents and ledger entries both
-        through the journaled path)."""
+        the ring's remaining owners through the journaled path; the
+        other shards hold its erasure tombstones already."""
         with self._topology.write():
             victim = self._shard(name)
             if len(self._shards) < 2:
@@ -794,7 +781,6 @@ class ShardRouter(Packaging):
             self._ring.remove_node(name)
             del self._shards[name]
             moved = self._handoff_misplaced(victim)
-            self._handoff_ledger_orphans(victim)
             victim.shutdown()
             if self._data_dir is not None:
                 live = self._data_dir / name
@@ -809,10 +795,9 @@ class ShardRouter(Packaging):
     def _handoff_misplaced(self, src: Shard) -> int:
         """Move every document on ``src`` whose region the ring now
         assigns elsewhere. Protocol, in never-lose order: journaled
-        adopt on the destination (documents + ledger entries riding the
-        WAL record), then ledger release and journaled delete on the
-        source. A crash between the two leaves a duplicate, which the
-        startup repair resolves in the destination's favor."""
+        adopt on the destination, then journaled delete on the source.
+        A crash between the two leaves a duplicate, which the startup
+        repair resolves in the destination's favor."""
         by_dst: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
         for doc in src.collection.iter_documents():
             region = self.region_for(doc)
@@ -821,39 +806,34 @@ class ShardRouter(Packaging):
                 by_dst.setdefault(owner, {}).setdefault(region, []).append(doc)
         moved = 0
         for dst_name in sorted(by_dst):
-            dst = self._shard(dst_name)
             regions = by_dst[dst_name]
             documents = [
                 json_clone(doc)
                 for region in sorted(regions)
                 for doc in regions[region]
             ]
-            entries = src.data.ledger_entries_for(regions)
-            dst.data.adopt(documents, entries)
-            src.data.release_keys([key for key, _ in entries])
+            self._shard(dst_name).data.adopt(documents)
             src.data.remove_documents([doc["_id"] for doc in documents])
             moved += len(documents)
         return moved
 
-    def _handoff_ledger_orphans(self, src: Shard) -> None:
-        """Hand off ledger entries whose documents no longer exist
-        (retention expiry, erasure) — dedup must survive the drain."""
-        orphans: Dict[str, List[Tuple[str, Any]]] = {}
-        for key, value in src.data.ledger_entries_for(None):
-            owner = self._ring.node_for(value)
-            if owner != src.name:
-                orphans.setdefault(owner, []).append((key, value))
-        for dst_name in sorted(orphans):
-            entries = orphans[dst_name]
-            self._shard(dst_name).data.adopt([], entries)
-            src.data.release_keys([key for key, _ in entries])
+    def _share_erasures(self) -> None:
+        """Give every shard the union of all shards' erasure tombstones
+        — O(erasures), not O(documents)."""
+        shards = list(self._shards.values())
+        erased = set().union(*(shard.data.erasures() for shard in shards))
+        if erased:
+            for shard in shards:
+                shard.data.record_erasures(sorted(erased))
 
     def _repair(self) -> None:
         """Idempotent startup repair after a crash mid-rebalance: every
+        shard gets the fleet's erasure tombstones (a crash can cut an
+        ``add_shard`` before its new shard learned them), and every
         document whose region routes elsewhere is finished moving (or,
-        when the destination already adopted it, deleted here), and
-        stale ledger entries follow their regions."""
+        when the destination already adopted it, deleted here)."""
         with self._topology.write():
+            self._share_erasures()
             moved = 0
             dst_ids: Dict[str, set] = {}
 
@@ -873,19 +853,13 @@ class ShardRouter(Packaging):
                     if owner == src_name:
                         continue
                     dst = self._shard(owner)
-                    entries = src.data.ledger_entries_for([region])
-                    if doc.get("_id") in ids_of(dst):
-                        # destination already adopted it: the crash hit
-                        # between adopt and source delete
-                        if entries:
-                            dst.data.adopt([], entries)
-                    else:
-                        dst.data.adopt([json_clone(doc)], entries)
+                    # unless the destination already adopted it (the
+                    # crash hit between adopt and source delete)
+                    if doc.get("_id") not in ids_of(dst):
+                        dst.data.adopt([json_clone(doc)])
                         ids_of(dst).add(doc.get("_id"))
-                    src.data.release_keys([key for key, _ in entries])
                     src.data.remove_documents([doc.get("_id")])
                     moved += 1
-                self._handoff_ledger_orphans(src)
             self._repaired += moved
 
     # -- durability -----------------------------------------------------------

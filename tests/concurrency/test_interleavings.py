@@ -5,8 +5,8 @@ into the one interleaving each lock exists to forbid, so every
 protection is exercised deterministically:
 
 - dedup check-then-insert (two threads redeliver one obs_id);
-- the torn ``middleware_stats`` read (ledger moves between counter
-  reads);
+- the torn ``middleware_stats`` read (the ``obs_id`` index moves
+  between counter reads);
 - the stale materialized view (a write lands between the rebuild's
   marker read and its document snapshot);
 - the sorted index's read-time fold (two readers sharing the read lock
@@ -31,6 +31,7 @@ from repro.core.materialized import MaterializedAnalytics
 from repro.core.privacy import PrivacyPolicy
 from repro.core.server import GoFlowServer
 from repro.docstore.collection import Collection
+from repro.docstore.errors import DuplicateKeyError
 
 APP = "SC"
 
@@ -57,49 +58,61 @@ def _run_threads(*targets, timeout=5.0):
 class TestDedupCheckThenInsertRace:
     """Two concurrent redeliveries of one obs_id must store one doc.
 
-    The race window sits between the ledger miss and the insert; the
-    rendezvous is planted in ``anonymize_ingest_many``, which runs
-    exactly there. Locked, the second thread is still waiting on the
-    ingest lock, so only one thread reaches the barrier and it times
-    out. Both legs assert the seam was hit, so a refactor that moves
-    it fails loudly instead of leaving the barrier dead.
+    The race window sits between the ``obs_id`` index probe and the
+    insert; the rendezvous is planted in the observations collection's
+    ``insert_many``, which runs exactly there. Locked, the second thread
+    is still waiting on the ingest lock, so only one thread reaches the
+    barrier and it times out; the other then finds the key and counts a
+    dedup hit. Unlocked, both probes miss and both threads insert: the
+    unique index is the backstop, refusing the loser with
+    ``DuplicateKeyError``. Both legs assert the seam was hit, so a
+    refactor that moves it fails loudly instead of leaving the barrier
+    dead.
     """
 
     def _race_once(self, server) -> tuple:
         barrier = threading.Barrier(2)
         hits = []
+        errors = []
+        collection = server.data.collection
+        original = collection.insert_many
 
-        original = server.privacy.anonymize_ingest_many
-
-        def rendezvous(documents, owned=False):
+        def rendezvous(documents, **kwargs):
             hits.append(1)
             try:
                 barrier.wait(timeout=0.5)
             except threading.BrokenBarrierError:
                 pass  # the lock held the other thread out — correct
-            return original(documents, owned=owned)
+            return original(documents, **kwargs)
 
-        server.privacy.anonymize_ingest_many = rendezvous
-        _run_threads(
-            lambda: server.data.ingest(APP, _observation("dup-1")),
-            lambda: server.data.ingest(APP, _observation("dup-1")),
-        )
-        return server.data.collection.count({"obs_id": "dup-1"}), len(hits)
+        def redeliver():
+            try:
+                server.data.ingest(APP, _observation("dup-1"))
+            except Exception as exc:  # the loser's error, inspected below
+                errors.append(exc)
+
+        collection.insert_many = rendezvous
+        _run_threads(redeliver, redeliver)
+        stored = server.data.collection.count({"obs_id": "dup-1"})
+        return stored, len(hits), errors
 
     def test_locked_stores_exactly_once(self):
         server = GoFlowServer()
         server.register_app(APP)
-        stored, hits = self._race_once(server)
-        assert hits > 0
+        stored, hits, errors = self._race_once(server)
+        assert hits == 1
         assert stored == 1
+        assert errors == []
+        assert server.data.dedup_hits == 1
 
     def test_lock_disabled_double_inserts(self):
         with concurrency.lock_mode("off"):
             server = GoFlowServer()
             server.register_app(APP)
-            stored, hits = self._race_once(server)
-        assert hits > 0
-        assert stored == 2
+            stored, hits, errors = self._race_once(server)
+        assert hits == 2
+        assert stored == 1
+        assert [type(error) for error in errors] == [DuplicateKeyError]
 
 
 class TestTornMiddlewareStatsRead:

@@ -49,13 +49,11 @@ def manager():
 
 
 class TestDedupLedger:
-    def _manager(self, capacity):
-        return DataManager(
-            DocumentStore(), PrivacyPolicy(salt="t"), dedup_capacity=capacity
-        )
+    def _manager(self):
+        return DataManager(DocumentStore(), PrivacyPolicy(salt="t"))
 
     def test_duplicate_obs_id_skipped(self):
-        manager = self._manager(capacity=10)
+        manager = self._manager()
         doc = {"user_id": "u", "obs_id": "u:1", "taken_at": 1.0}
         assert manager.ingest("SC", doc) is not None
         assert manager.ingest("SC", dict(doc)) is None
@@ -63,29 +61,8 @@ class TestDedupLedger:
         assert manager.dedup_hits == 1
         assert manager.dedup_info()["size"] == 1
 
-    def test_ledger_is_bounded(self):
-        manager = self._manager(capacity=3)
-        for i in range(5):
-            manager.ingest("SC", {"user_id": "u", "obs_id": f"u:{i}", "taken_at": 1.0})
-        assert manager.dedup_info()["size"] == 3
-        # the oldest entry aged out: its redelivery is no longer caught
-        assert manager.ingest("SC", {"user_id": "u", "obs_id": "u:0"}) is not None
-        # but a recent one still is
-        assert manager.ingest("SC", {"user_id": "u", "obs_id": "u:4"}) is None
-
-    def test_zero_capacity_disables_dedup(self):
-        manager = self._manager(capacity=0)
-        doc = {"user_id": "u", "obs_id": "u:1", "taken_at": 1.0}
-        assert manager.ingest("SC", doc) is not None
-        assert manager.ingest("SC", dict(doc)) is not None
-        assert manager.collection.count({}) == 2
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValidationError):
-            self._manager(capacity=-1)
-
     def test_failed_insert_does_not_poison_ledger(self, monkeypatch):
-        manager = self._manager(capacity=10)
+        manager = self._manager()
         original = manager.collection.insert_many
         failures = ["store briefly down"]
 

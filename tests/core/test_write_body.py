@@ -262,7 +262,7 @@ _COMMON_TREE = {
     "ingested": None,
     "reliability": {
         "deduped": None,
-        "dedup_ledger": _leaves("size", "capacity", "hits"),
+        "dedup_ledger": _leaves("size", "hits"),
         "redeliveries": None,
         "delayed_in_flight": None,
         "faults": None,

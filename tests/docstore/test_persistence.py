@@ -209,9 +209,9 @@ class TestStateRecords:
         from repro.docstore.persistence import load_snapshot
 
         path = tmp_path / "snapshot.jsonl"
-        dump_store(store, path, state={"dedup_ledger": ["a", "b"]}, wal_start=7)
+        dump_store(store, path, state={"_wal": {"lsn": 41}}, wal_start=7)
         loaded, state, wal_start = load_snapshot(path)
-        assert state == {"dedup_ledger": ["a", "b"]}
+        assert state == {"_wal": {"lsn": 41}}
         assert wal_start == 7
         assert loaded["observations"].count() == 2
 

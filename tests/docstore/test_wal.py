@@ -329,30 +329,6 @@ class TestTornTailRecovery:
         assert not any(name.endswith(".tmp") for name in leftovers)
 
 
-class TestLedgerPersistence:
-    def test_ledger_keys_ride_insert_records(self, tmp_path):
-        store = open_store(tmp_path)
-        obs = store.collection("obs")
-        obs.insert_one({"n": 1}, wal_meta={"ledger": ["SC|u:1"]})
-        obs.insert_many(
-            [{"n": 2}, {"n": 3}], wal_meta={"ledger": ["SC|u:2", "SC|u:3"]}
-        )
-        store = reopen(store, tmp_path)
-        assert store.recovered_state["dedup_ledger"] == [
-            "SC|u:1",
-            "SC|u:2",
-            "SC|u:3",
-        ]
-
-    def test_ledger_survives_checkpoint(self, tmp_path):
-        store = open_store(tmp_path)
-        store.collection("obs").insert_one({"n": 1}, wal_meta={"ledger": ["k1"]})
-        store.checkpoint()
-        store.collection("obs").insert_one({"n": 2}, wal_meta={"ledger": ["k2"]})
-        store = reopen(store, tmp_path)
-        assert store.recovered_state["dedup_ledger"] == ["k1", "k2"]
-
-
 class TestDurabilityInfo:
     def test_in_memory_store_reports_disabled(self):
         assert DocumentStore().durability_info() == {"enabled": False}
