@@ -16,6 +16,7 @@ from repro import concurrency
 from repro.core.errors import ValidationError
 from repro.core.materialized import MaterializedAnalytics
 from repro.core.privacy import PrivacyPolicy
+from repro.docstore.collection import id_order_key
 from repro.docstore.store import DocumentStore
 
 OBSERVATIONS = "observations"
@@ -144,6 +145,8 @@ class DataManager(Packaging):
         self._observations.create_index(
             "location.provider", kind="hash", exist_ok=True
         )
+        if "obs_id" not in self._observations.index_paths():
+            self._keep_first_obs_ids()
         #: the dedup ledger: stored ``obs_id`` -> ``_id``, probed by
         #: ingest under ``ingest_lock`` alone (see :meth:`ingest_many`)
         self._obs_ids = self._observations.create_index(
@@ -199,6 +202,27 @@ class DataManager(Packaging):
         #: covers no view: the materialized counters and the columnar
         #: mirror pull what was inserted when a reader asks.
         self.ingest_lock = concurrency.make_rlock()
+
+    def _keep_first_obs_ids(self) -> None:
+        """Make a store written before the ``obs_id`` index existed fit
+        it: where two documents share one ``obs_id`` (the old bounded
+        ledger forgot the key), keep the lowest ``_id`` — the copy first
+        admitted — and delete the others through the journaled path."""
+        seen: Set[Any] = set()
+        copies: List[Any] = []
+        for document in sorted(
+            self._observations.iter_documents(),
+            key=lambda doc: id_order_key(doc.get("_id")),
+        ):
+            key = document.get("obs_id")
+            if key is None:
+                continue
+            if key in seen:
+                copies.append(document["_id"])
+            else:
+                seen.add(key)
+        for doc_id in copies:
+            self._observations.delete_one({"_id": doc_id})
 
     @property
     def collection(self):

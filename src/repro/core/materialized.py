@@ -13,13 +13,15 @@ view.
 Correctness protocol (the counters must agree *exactly* with a full
 pipeline recomputation at all times):
 
-- **Marker.** The view remembers the collection's lifetime
-  ``(inserts, updates, deletes)`` counters at the moment it was last
-  current. Every read first asks ``Collection.inserted_since`` for the
-  documents inserted since that marker and folds them (the *tail*);
-  when anything but inserts moved the marker (retention deletes,
-  contributor erasure, updates, a drop) there is no tail and the view
-  rebuilds.
+- **Marker.** The view remembers the collection's write marker — its
+  lifetime ``(inserts, updates, deletes)`` counters; on the shard
+  router's collection, the rebalance count and every shard's counters
+  — at the moment it was last current. Every read first asks
+  ``inserted_since`` for the documents inserted since that marker, in
+  insertion order, and folds them (the *tail*); when anything but
+  inserts moved the marker (retention deletes, contributor erasure,
+  updates, a drop, a rebalance) there is no tail and the view
+  rebuilds. One view serves a data plane of either topology.
 - **Lazy build.** The first reader builds the view from a single pass
   over the live documents, and so does the first reader after a
   non-insert write. Deletes therefore rebuild rather than decrement: a
@@ -46,11 +48,10 @@ Mirrored pipeline semantics, for the record:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro import concurrency
 from repro.docstore.aggregate import _safe_group_key
-from repro.docstore.collection import follows_inserts
 from repro.docstore.query import get_path, is_missing
 
 
@@ -74,7 +75,8 @@ class MaterializedAnalytics:
         #: serializes observe/rebuild/query; acquired *before* the
         #: collection's RW lock, never after (lock hierarchy).
         self._lock = concurrency.make_rlock()
-        self._marker: Optional[Tuple[int, int, int]] = None
+        #: the collection's write marker the view is current at
+        self._marker: Optional[Any] = None
         self._total = 0
         self._localized = 0
         self._models: Dict[Any, _ModelEntry] = {}
@@ -135,30 +137,6 @@ class MaterializedAnalytics:
                 for entry in self._models.values()
             ]
 
-    def model_entries(
-        self,
-    ) -> Optional[List[Tuple[Any, int, set, int]]]:
-        """Raw per-model state for cross-shard merging, or None.
-
-        Rows are ``(model, measurements, contributors, localized)``
-        with the contributor *set* intact — distinct-device counts are
-        not additive across partitions, so a shard coordinator needs
-        the sets to union before collapsing them to sizes.
-        """
-        with self._lock:
-            self._ensure_fresh()
-            if self._degraded_models:
-                return None
-            return [
-                (
-                    entry.value,
-                    entry.measurements,
-                    set(entry.contributors),
-                    entry.localized,
-                )
-                for entry in self._models.values()
-            ]
-
     def day_counts(self) -> Optional[List[Dict[str, Any]]]:
         """``{"_id": day, "count"}`` rows sorted by day, or None."""
         with self._lock:
@@ -188,10 +166,9 @@ class MaterializedAnalytics:
         """
         with self._lock:
             marker = self._marker
-            live = self._collection.write_marker()
             return {
                 "fresh": marker is not None
-                and follows_inserts(marker, live, live[0] - marker[0]),
+                and self._collection.inserted_since(marker)[0] is not None,
                 "rebuilds": self.rebuilds,
                 "incremental_updates": self.incremental_updates,
                 "invalidations": self.invalidations,

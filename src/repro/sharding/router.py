@@ -3,8 +3,7 @@
 Each :class:`Shard` is a vertical slice of the middleware data plane —
 its own :class:`~repro.docstore.store.DocumentStore` (with its own WAL
 when durable) and its own :class:`~repro.core.datamgmt.DataManager`
-(privacy scrub, the ``obs_id`` dedup index, materialized analytics,
-columnar mirror).
+(privacy scrub, the ``obs_id`` dedup index, columnar mirror).
 
 :class:`ShardRouter` keeps the shards behind the ``DataManager``
 surface the server already speaks:
@@ -24,6 +23,15 @@ surface the server already speaks:
   :mod:`repro.sharding.merge`), gathering documents centrally
   otherwise. Results carry ``explain["strategy"] == "scattered"`` with
   per-shard detail.
+- **One change tail.** ``ShardedObservations.inserted_since`` merges
+  every shard's tail in ``_id`` order — the global insertion order —
+  under the marker ``(rebalances, {shard name: write marker})``, and
+  answers ``None`` after a rebalance or any non-insert write. The
+  coordinator's one materialized view (:class:`MergedMaterialized`)
+  and the tile scopes pull it like an unsharded collection's. Fleet
+  looks (``read_locked``, ``write_marker``, ``inserted_since``) take
+  ``ingest_many``'s lock order: topology read side, ``ingest_lock``,
+  shard locks.
 - **Rebalancing** (``add_shard``/``remove_shard``) re-rings the
   topology and hands each relocated region's documents to the new
   owner through the journaled write path. Each shard's dedup ledger is
@@ -40,7 +48,7 @@ import re
 import shutil
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import concurrency
 from repro.core.datamgmt import (
@@ -51,8 +59,9 @@ from repro.core.datamgmt import (
     validate_observations,
 )
 from repro.core.errors import ValidationError
+from repro.core.materialized import MaterializedAnalytics
 from repro.core.privacy import PrivacyPolicy
-from repro.docstore.aggregate import _safe_group_key, compile_pipeline
+from repro.docstore.aggregate import compile_pipeline
 from repro.docstore.clone import json_clone
 from repro.docstore.collection import AggregationResult, CollectionStats
 from repro.docstore.cursor import Cursor, sort_documents
@@ -189,29 +198,53 @@ class ShardedObservations:
         merged.sort(key=global_order_key)
         return merged
 
-    def read_locked(self):
-        """One atomic look across every shard (locks in name order)."""
-        stack = ExitStack()
-        for shard in self._shards():
-            stack.enter_context(shard.collection.read_locked())
-        return stack
+    @contextmanager
+    def read_locked(self) -> Iterator[None]:
+        """One atomic look across the fleet, in ``ingest_many``'s lock
+        order: the topology read side, the router's ingest lock, then
+        every shard's read lock in name order. No batch is half-stored
+        inside it, and a rebalance waits outside it instead of holding
+        the topology while it waits for a shard this look holds."""
+        with self._router.ingest_paused(), ExitStack() as stack:
+            for shard in self._shards():
+                stack.enter_context(shard.collection.read_locked())
+            yield
 
-    def write_marker(self) -> Tuple[int, int, int]:
-        inserts = updates = deletes = 0
-        for shard in self._shards():
-            i, u, d = shard.collection.write_marker()
-            inserts += i
-            updates += u
-            deletes += d
-        return (inserts, updates, deletes)
+    def write_marker(self) -> Tuple[int, Dict[str, Tuple[int, int, int]]]:
+        """The fleet's write marker: the router's rebalance count and
+        every shard's ``(inserts, updates, deletes)`` keyed by shard
+        name, so adding or removing a shard moves it."""
+        return self.inserted_since(None)[1]
 
     def inserted_since(
-        self, marker: Optional[Tuple[int, int, int]]
-    ) -> Tuple[Optional[Tuple[Dict[str, Any], ...]], Tuple[int, int, int]]:
-        """No cross-shard tail is kept: ``()`` while the summed marker
-        has not moved, else None (the caller rebuilds)."""
-        live = self.write_marker()
-        return ((), live) if live == marker else (None, live)
+        self, marker: Optional[Tuple[int, Dict[str, Tuple[int, int, int]]]]
+    ) -> Tuple[
+        Optional[Tuple[Dict[str, Any], ...]],
+        Tuple[int, Dict[str, Tuple[int, int, int]]],
+    ]:
+        """``Collection.inserted_since`` over the fleet: every shard's
+        tail, merged in ``_id`` order — the global insertion order, since
+        the router stamps each batch ``start + index`` under the ingest
+        lock this holds, so no tail ends inside a batch. ``None`` when a
+        rebalance moved the marker, or anything but inserts moved a
+        shard's."""
+        with self._router.ingest_paused():
+            rebalances = self._router._handoffs
+            stale = marker is None or marker[0] != rebalances
+            live: Dict[str, Tuple[int, int, int]] = {}
+            merged: List[Dict[str, Any]] = []
+            for shard in self._shards():
+                tail, live[shard.name] = shard.collection.inserted_since(
+                    None if stale else marker[1].get(shard.name)
+                )
+                if tail is None:
+                    stale = True
+                else:
+                    merged.extend(tail)
+            if stale:
+                return None, (rebalances, live)
+            merged.sort(key=global_order_key)
+            return tuple(merged), (rebalances, live)
 
     def stats_snapshot(self) -> CollectionStats:
         total = CollectionStats()
@@ -285,106 +318,28 @@ class ShardedObservations:
         }
 
 
-def _canonical_group_order(value: Any) -> str:
-    return repr(_safe_group_key(value))
-
-
-class MergedMaterialized:
-    """Coordinator view over every shard's materialized analytics.
-
-    Additive counters (totals, measurements, localized, day and
-    provider counts) merge by summing; distinct-device counts merge by
-    *set union* of the per-shard contributor sets, since one
-    contributor observed from two regions must still count once.
-    Group rows come back in a canonical (stable, shard-count-
-    independent) order: the global first-seen order is not
-    reconstructible from per-shard folds alone.
-    """
+class MergedMaterialized(MaterializedAnalytics):
+    """The coordinator's one materialized view: the counters over
+    :class:`ShardedObservations`, built by their first reader and kept
+    by pulling the fleet's merged tail, so a sharded dashboard comes
+    back in global first-seen order, as an unsharded one does. The four
+    reads are restated so the sharded dashboard has names of its own
+    (bench/trace.py times them)."""
 
     def __init__(self, router: "ShardRouter") -> None:
-        self._router = router
-
-    def _views(self) -> List[Any]:
-        return [shard.data.materialized for shard in self._router._shards_snapshot()]
+        super().__init__(router.collection)
 
     def totals(self) -> Optional[Dict[str, int]]:
-        total = localized = 0
-        for view in self._views():
-            part = view.totals()
-            if part is None:
-                return None
-            total += part["total"]
-            localized += part["localized"]
-        return {"total": total, "localized": localized}
+        return super().totals()
 
     def per_model_groups(self) -> Optional[List[Dict[str, Any]]]:
-        merged: Dict[Any, List[Any]] = {}  # key -> [value, meas, devices, localized]
-        for view in self._views():
-            entries = view.model_entries()
-            if entries is None:
-                return None
-            for value, measurements, contributors, localized in entries:
-                key = _safe_group_key(value)
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [value, measurements, set(contributors), localized]
-                else:
-                    entry[1] += measurements
-                    entry[2] |= contributors
-                    entry[3] += localized
-        return [
-            {
-                "_id": value,
-                "measurements": measurements,
-                "devices": len(contributors),
-                "localized": localized,
-            }
-            for value, measurements, contributors, localized in sorted(
-                merged.values(), key=lambda e: _canonical_group_order(e[0])
-            )
-        ]
+        return super().per_model_groups()
 
     def day_counts(self) -> Optional[List[Dict[str, Any]]]:
-        days: Dict[Any, int] = {}
-        for view in self._views():
-            rows = view.day_counts()
-            if rows is None:
-                return None
-            for row in rows:
-                days[row["_id"]] = days.get(row["_id"], 0) + row["count"]
-        return [{"_id": day, "count": count} for day, count in sorted(days.items())]
+        return super().day_counts()
 
     def provider_counts(self) -> Optional[List[Dict[str, Any]]]:
-        merged: Dict[Any, List[Any]] = {}
-        for view in self._views():
-            rows = view.provider_counts()
-            if rows is None:
-                return None
-            for row in rows:
-                key = _safe_group_key(row["_id"])
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [row["_id"], row["count"]]
-                else:
-                    entry[1] += row["count"]
-        return [
-            {"_id": value, "count": count}
-            for value, count in sorted(
-                merged.values(), key=lambda e: _canonical_group_order(e[0])
-            )
-        ]
-
-    def info(self) -> Dict[str, Any]:
-        views = self._views()
-        infos = [view.info() for view in views]
-        return {
-            "fresh": all(info["fresh"] for info in infos),
-            "rebuilds": sum(info["rebuilds"] for info in infos),
-            "incremental_updates": sum(info["incremental_updates"] for info in infos),
-            "invalidations": sum(info["invalidations"] for info in infos),
-            "degraded": any(info["degraded"] for info in infos),
-            "merged_shards": len(views),
-        }
+        return super().provider_counts()
 
 
 class ShardRouter(Packaging):

@@ -15,7 +15,7 @@ region-unfiltered one its app's wildcard bucket — so a stored
 observation looks up at most four buckets and evaluates only the
 residual predicate (datatype / model / ``taken_at`` window) on what
 they hold: O(candidates), not O(subscribers). Each observation builds
-one event (plus one tile event per built scope) that every recipient's
+one event (plus one tile event per scope streamed) that every recipient's
 outbox references; a queued event is never mutated, and the only copies are
 the per-poll ones :meth:`SubscriptionManager.next_events` hands out,
 with the recipient's cursor stamped in. The cursor is not stored: an
@@ -35,25 +35,22 @@ Tiles fold only for their readers. No tile scope exists until its first
 reader — a ``tiles_snapshot`` of it or a ``tiles=True`` subscription in
 it — builds it from the store: one left fold over the data plane's
 ``collection.iter_documents()`` (global ``_id`` order on both
-topologies) filtered to the scope's app, under the data plane's
-``ingest_paused()`` so no stored-but-undelivered batch is counted
-twice. From then on ``on_stored`` folds each delivered batch into the
-built scopes it belongs to, and a write path with no tile reader folds
-nothing at all. A built scope is kept (at most apps + 1 of them), so a
-polled map never rescans.
-
-One staleness rule, the write marker: each scope records
-``collection.write_marker()`` when it is built and moves it forward
-with every batch it is handed, and it may fold a batch only when the
-live marker is exactly ``len(batch)`` inserts ahead
-(:func:`~repro.docstore.collection.follows_inserts`, the rule behind
-the ``Collection.inserted_since`` pull of ``MaterializedAnalytics`` and
-the columnar mirror). Any other movement — contributor erasure, a
-rebalance, a direct collection write, a drop, recovery replay —
-drops the scope and its next reader rebuilds it; a scope with live tile
-subscribers is rebuilt at once instead, from a store that already
-holds the batch, so the batch is not folded again. A snapshot whose
-scope's marker is not the live one rebuilds before it answers.
+topologies) filtered to the scope's app. A built scope is then a pull
+view like the materialized counters and the columnar mirror: it keeps
+the collection write marker it is current at, and its reader brings it
+current through ``collection.inserted_since(marker)`` — folding the
+tail's documents of the scope's app, or rebuilding when anything but
+inserts moved the marker (an erasure, a rebalance, a drop, a direct
+collection write). Readers pull under the data plane's
+``ingest_paused()``, so a stored batch still on its way to
+``on_stored`` is never folded twice. Tile subscribers are the readers
+that make ``on_stored`` pull: for each batch it brings current the
+batch's app scope and the global one when they have live tile
+subscriptions (a per-scope count kept at subscribe, unsubscribe and
+eviction), folding the batch itself one observation at a time for its
+tile events. A write path with no tile subscriber folds nothing at all,
+and a built scope is kept (at most apps + 1 of them), so a polled map
+never rescans.
 
 Event projection and privacy: a pushed observation event carries only
 the ingest-stable projection ``{_id, region, app_id, datatype, model,
@@ -89,13 +86,13 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import concurrency
 from repro.client.buffer import ObservationBuffer
 from repro.core.errors import NotFoundError, ValidationError
-from repro.docstore.collection import follows_inserts
 from repro.sharding.region import DEFAULT_CELL_M, region_of
 from repro.streaming.filters import FilterSpec, datatype_of
 from repro.streaming.tiles import TileDeltaEngine
@@ -222,7 +219,7 @@ class _TileScope:
 
     __slots__ = ("engine", "marker")
 
-    def __init__(self, engine: TileDeltaEngine, marker: Tuple[int, int, int]) -> None:
+    def __init__(self, engine: TileDeltaEngine, marker: Any) -> None:
         self.engine = engine
         self.marker = marker
 
@@ -287,6 +284,9 @@ class SubscriptionManager:
         #: (every app's: app-unscoped subscriptions and snapshots).
         #: Empty until a first reader; see the module docstring.
         self._scopes: Dict[Optional[str], _TileScope] = {}
+        #: live ``tiles=True`` subscriptions per scope: the scopes
+        #: ``on_stored`` brings current
+        self._tile_readers: Counter = Counter()
         self._created = 0
         self._unsubscribed = 0
         self._evictions = 0
@@ -319,7 +319,8 @@ class SubscriptionManager:
 
         ``tiles=True`` makes it a reader of the tile scope its spec
         names (``spec.app_id``, None for the global one): the scope is
-        built from the store first if it is not built and current.
+        brought current first (built from the store if need be), and
+        ``on_stored`` keeps it current while the subscription is live.
 
         ``capacity``/``max_overruns``: per-subscriber backpressure
         knobs; None takes the manager defaults, 0 ``max_overruns``
@@ -346,13 +347,13 @@ class SubscriptionManager:
         if max_overruns is None:
             max_overruns = self._default_max_overruns
         spec = spec or FilterSpec()
-        # a tile subscription's scope is built (or made current) in the
-        # same critical section that registers it: no batch slips in
-        # between, and a scope with tile subscribers always exists
+        # a tile subscription's scope is brought current in the same
+        # critical section that registers it: no batch slips in between,
+        # and a scope with tile subscribers always exists
         paused = self._plane().ingest_paused() if tiles else nullcontext()
         with paused, self._lock:
             if tiles:
-                self._current_scope(spec.app_id)
+                self._pull(spec.app_id)
             sub_id = f"sub-{next(self._ids)}"
             sub = self._subs[sub_id] = Subscription(
                 sub_id,
@@ -366,6 +367,8 @@ class SubscriptionManager:
             )
             for key in sub.index_keys():
                 self._index.setdefault(key, {})[sub_id] = sub
+            if tiles:
+                self._tile_readers[spec.app_id] += 1
             self._live += 1
             self._created += 1
             return sub_id
@@ -378,6 +381,8 @@ class SubscriptionManager:
             del bucket[sub.sub_id]
             if not bucket:
                 del self._index[key]
+        if sub.tiles:
+            self._tile_readers[sub.spec.app_id] -= 1
         self._live -= 1
 
     def _checked(
@@ -453,36 +458,34 @@ class SubscriptionManager:
         way. The whole fan-out runs under the manager lock so
         per-subscription cursors stay contiguous.
 
-        With no live subscription and no built tile scope it returns at
-        once: a write path nobody reads pays one lock. Otherwise, per
-        observation: ``region_of``, one in-place tile fold per built
-        scope it belongs to (its app's, the global one), at most four
-        index lookups — ``(app, region)``, ``(app, None)``, ``(None,
-        region)``, ``(None, None)`` — and the residual predicate on the
-        candidates those buckets hold. With no candidate, no event is
-        built at all.
+        With no live subscription it returns at once: a write path
+        nobody reads pays one lock. Otherwise, per observation:
+        ``region_of``, one in-place tile fold per scope with live tile
+        subscribers it belongs to (its app's, the global one), at most
+        four index lookups — ``(app, region)``, ``(app, None)``,
+        ``(None, region)``, ``(None, None)`` — and the residual predicate
+        on the candidates those buckets hold. With no candidate, no
+        event is built at all.
 
         Tile scoping: a subscription whose spec names an app (every
         REST subscription — ``FilterSpec.from_body`` forces the path
         app in) streams that app's scope, so its aggregates carry that
         app's data only; an app-unscoped spec streams the global scope.
-        Before folding, every built scope checks the write marker (see
-        :meth:`_advance_scopes`).
+        Each streamed scope first pulls what was inserted before the
+        batch (see :meth:`_pull`).
         """
         with self._lock:
             index = self._index
-            scopes = self._scopes
-            if not index and not scopes:
+            if not index:
                 return
-            rebuilt = self._advance_scopes(len(pairs)) if scopes else ()
             #: (scope, engine or None, fold the batch into it?)
             targets = []
             for scope in (app_id, None):
-                state = scopes.get(scope)
-                engine = None if state is None else state.engine
-                targets.append((scope, engine, scope not in rebuilt))
-            if not index and targets[0][1] is None and targets[1][1] is None:
-                return
+                if self._tile_readers[scope]:
+                    fold = self._pull(scope, unfolded=len(pairs))
+                    targets.append((scope, self._scopes[scope].engine, fold))
+                else:
+                    targets.append((scope, None, False))
             emitted_at = self._clock()
             emitted_wall = self._wall()
             cell_m = self._cell_m
@@ -499,7 +502,7 @@ class SubscriptionManager:
                     elif fold:
                         tile = engine.observe(document, region)
                     else:
-                        # rebuilt from a store that holds the batch
+                        # built from a store that holds the batch
                         tile = engine.tile(region)
                     tile_event: Optional[Dict[str, Any]] = None
                     for key in ((scope, region), (scope, None)):
@@ -554,7 +557,7 @@ class SubscriptionManager:
             )
         return self._data
 
-    def _build(self, scope: Optional[str]) -> _TileScope:
+    def _build(self, scope: Optional[str]) -> None:
         """Fold ``scope`` from the store and keep it (caller holds the
         data plane's ingest lock, then the manager lock, so every
         stored batch has been delivered and none is half-way).
@@ -570,54 +573,34 @@ class SubscriptionManager:
             documents = collection.iter_documents()
         if scope is not None:
             documents = [doc for doc in documents if doc.get("app_id") == scope]
-        state = self._scopes[scope] = _TileScope(
+        self._scopes[scope] = _TileScope(
             TileDeltaEngine.from_documents(documents, self._cell_m), marker
         )
-        return state
 
-    def _current_scope(self, scope: Optional[str]) -> _TileScope:
-        """``scope`` built and current at the live marker (caller holds
-        the data plane's ingest lock, then the manager lock: no batch is
-        in flight, so a marker that moved means writes the scope was
-        never handed)."""
-        state = self._scopes.get(scope)
-        if state is None or not follows_inserts(
-            state.marker, self._plane().collection.write_marker(), 0
-        ):
-            state = self._build(scope)
-        return state
+    def _pull(self, scope: Optional[str], unfolded: int = 0) -> bool:
+        """Bring ``scope`` current: fold the tail inserted since its
+        marker (the scope's app's documents only), or build it from the
+        store when it is not built or anything but inserts moved the
+        marker. The caller holds the data plane's ingest lock, then the
+        manager lock, so no stored batch is half-way to ``on_stored``.
 
-    def _advance_scopes(self, inserted: int) -> Set[Optional[str]]:
-        """Move every built scope past a just-stored batch of
-        ``inserted`` (caller holds the manager lock, inside the data
-        plane's ingest lock).
-
-        A scope the live marker follows by exactly the batch advances
-        and folds it. Any other movement drops the scope for its next
-        reader to rebuild — unless it has live tile subscribers, then
-        it is rebuilt here, from a store that already holds the batch.
-        Returns the scopes rebuilt: they must not fold the batch again.
+        ``unfolded``: the newest inserts to leave to the caller —
+        ``on_stored``'s batch, which it folds one observation at a time
+        for the tile events. Returns False when the scope was built
+        instead, from a store that holds those inserts already.
         """
-        live = self._data.collection.write_marker()
-        rebuilt: Set[Optional[str]] = set()
-        for scope, state in list(self._scopes.items()):
-            if follows_inserts(state.marker, live, inserted):
+        state = self._scopes.get(scope)
+        if state is not None:
+            tail, live = self._plane().collection.inserted_since(state.marker)
+            if tail is not None and len(tail) >= unfolded:
+                engine = state.engine
+                for document in tail[: len(tail) - unfolded]:
+                    if scope is None or document.get("app_id") == scope:
+                        engine.observe(document)
                 state.marker = live
-            elif self._has_tile_subscribers(scope):
-                self._build(scope)
-                rebuilt.add(scope)
-            else:
-                del self._scopes[scope]
-        return rebuilt
-
-    def _has_tile_subscribers(self, scope: Optional[str]) -> bool:
-        """Whether a live subscription streams ``scope``'s tiles."""
-        return any(
-            sub.tiles
-            for (app_id, _), bucket in self._index.items()
-            if app_id == scope
-            for sub in bucket.values()
-        )
+                return True
+        self._build(scope)
+        return False
 
     def _push(self, sub: Subscription, event: Dict[str, Any]) -> None:
         """Queue ``event`` under the next cursor; applies the drop
@@ -730,19 +713,13 @@ class SubscriptionManager:
 
         ``app_id`` selects that app's scope — aggregates over its
         observations only; ``None`` is the global map. The first read
-        of a scope builds it from the store; later reads serve the kept
-        scope while its marker is the live one, and rebuild it first
-        when writes it was not handed (an erasure, a rebalance) moved
-        the marker. Either way the answer equals
+        of a scope builds it from the store; later reads pull what was
+        inserted since (see :meth:`_pull`). Either way the answer equals
         ``tiles_from_documents`` over the scope's stored documents.
         """
-        live = self._plane().collection.write_marker()
-        with self._lock:
-            state = self._scopes.get(app_id)
-            if state is not None and follows_inserts(state.marker, live, 0):
-                return _tiles_of(state.engine, region)
-        with self._data.ingest_paused(), self._lock:
-            return _tiles_of(self._current_scope(app_id).engine, region)
+        with self._plane().ingest_paused(), self._lock:
+            self._pull(app_id)
+            return _tiles_of(self._scopes[app_id].engine, region)
 
     # -- observability -------------------------------------------------------
 

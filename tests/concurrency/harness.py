@@ -281,12 +281,6 @@ class ThreadedSoak:
 
     # -- final invariants --------------------------------------------------------
 
-    def _normalize_view(self, probe: str, value: Any) -> Any:
-        """Hook for comparing materialized views whose row order is not
-        canonical across implementations (a shard-merged view emits
-        groups in a canonical order, not global first-seen order)."""
-        return value
-
     def verify(self, result: SoakResult) -> List[str]:
         """Check the post-run global invariants; returns violations."""
         problems: List[str] = []
@@ -343,8 +337,8 @@ class ThreadedSoak:
         live = server.data.materialized
         fresh = MaterializedAnalytics(collection)
         for probe in ("totals", "per_model_groups", "day_counts", "provider_counts"):
-            live_value = self._normalize_view(probe, getattr(live, probe)())
-            fresh_value = self._normalize_view(probe, getattr(fresh, probe)())
+            live_value = getattr(live, probe)()
+            fresh_value = getattr(fresh, probe)()
             if live_value != fresh_value:
                 problems.append(
                     f"materialized {probe} diverged: live={live_value!r} "

@@ -12,7 +12,10 @@ protection is exercised deterministically:
 - the sorted index's read-time fold (two readers sharing the read lock
   both order the keys a write left pending);
 - the router's delivery hook (two ingests on different shards reach
-  the subscription plane out of ``_id`` order).
+  the subscription plane out of ``_id`` order);
+- the coordinator view's lock order (a rebuild's fleet look against a
+  concurrent ``add_shard``; locked only — without locks there is no
+  order to get wrong).
 
 Each scenario runs twice: with real locks the victim thread is held
 out of the window (rendezvous times out, behaviour stays correct), and
@@ -404,6 +407,81 @@ class TestRouterListenerOrder:
     def test_lock_disabled_delivers_out_of_order(self):
         with concurrency.lock_mode("off"):
             assert self._race_once() == [2, 1]
+
+
+class TestCoordinatorViewAgainstRebalance:
+    """The coordinator's view reads the fleet in ``ingest_many``'s lock
+    order, so a rebuild and a rebalance cannot deadlock.
+
+    The rendezvous holds a rebuild inside its locked look (in the
+    fleet's ``iter_documents``) while another thread calls
+    ``add_shard``. The look holds the topology read side first, so the
+    rebalance waits at the topology write lock, the rendezvous times
+    out, and both finish. A look that held the shard read locks and
+    only then asked for the topology would deadlock: ``add_shard``
+    would hold the topology write lock while waiting for a shard lock
+    the rebuild holds.
+    """
+
+    def _observations(self, start, count):
+        return [
+            dict(
+                _observation(f"o{n}"),
+                model=f"m{n % 3}",
+                location={"x_m": 600.0 * n, "y_m": 0.0},
+            )
+            for n in range(start, start + count)
+        ]
+
+    def _assert_recompute(self, server):
+        view = server.data.materialized
+        recomputed = MaterializedAnalytics(server.data.collection)
+        for probe in ("totals", "per_model_groups", "day_counts", "provider_counts"):
+            assert getattr(view, probe)() == getattr(recomputed, probe)()
+
+    def test_rebuild_and_add_shard_both_finish(self):
+        server = GoFlowServer(sharding=2)
+        server.data.ingest_many(APP, self._observations(0, 12))
+        collection = server.data.collection
+        inside = threading.Event()
+        added = threading.Event()
+        seen_added = []
+        original = collection.iter_documents
+
+        def rendezvous():
+            if not seen_added:
+                inside.set()
+                added.wait(timeout=0.5)  # locked: add_shard cannot get here
+                seen_added.append(added.is_set())
+            return original()
+
+        collection.iter_documents = rendezvous
+
+        def rebuilder():
+            server.data.materialized.totals()  # unbuilt -> rebuild
+
+        def rebalancer():
+            assert inside.wait(timeout=2.0)
+            server.router.add_shard()
+            added.set()
+
+        _run_threads(rebuilder, rebalancer)
+        del collection.iter_documents
+        assert seen_added == [False]
+        assert len(server.router.shards) == 3
+        self._assert_recompute(server)
+
+    def test_reads_between_sharded_ingests_pull_the_merged_tail(self):
+        server = GoFlowServer(sharding=3)
+        view = server.data.materialized
+        assert view.totals() == {"total": 0, "localized": 0}
+        for n, document in enumerate(self._observations(0, 9), start=1):
+            server.data.ingest(APP, document)
+            assert view.totals()["total"] == n
+        info = view.info()
+        assert (info["rebuilds"], info["incremental_updates"]) == (1, 9)
+        assert info["fresh"]
+        self._assert_recompute(server)
 
 
 class TestRWLockSemantics:

@@ -25,7 +25,6 @@ import pytest
 
 from repro import concurrency
 from repro.core.server import GoFlowServer
-from repro.docstore.aggregate import _safe_group_key
 
 from tests.concurrency.harness import APP_ID, MODELS, PROVIDERS, ThreadedSoak
 
@@ -33,12 +32,6 @@ SEEDS = [111, 222, 333]
 THREADS = 8
 SHARDS = 4
 OPS_PER_THREAD = int(os.environ.get("SOAK_OPS", "40"))
-
-
-def _canonical_rows(value):
-    if not isinstance(value, list):
-        return value
-    return sorted(value, key=lambda row: repr(_safe_group_key(row.get("_id"))))
 
 
 class ShardedSoak(ThreadedSoak):
@@ -73,14 +66,6 @@ class ShardedSoak(ThreadedSoak):
                 "provider": doc_rng.choice(PROVIDERS),
             }
         return document
-
-    def _normalize_view(self, probe: str, value: Any) -> Any:
-        # the merged materialized view emits groups in canonical order,
-        # a from-scratch fold over the merged snapshot in first-seen
-        # order — compare as sets of rows.
-        if probe in ("per_model_groups", "provider_counts"):
-            return _canonical_rows(value)
-        return value
 
 
 def _sharding_problems(soak: ShardedSoak) -> list:

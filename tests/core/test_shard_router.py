@@ -164,6 +164,31 @@ def _twins(count=200):
     return servers
 
 
+class TestDashboard:
+    def test_fig9_table_order_matches_unsharded(self):
+        """Models tied on ``localized`` keep global first-seen order on
+        a fleet, as on one store: the coordinator's one view folds the
+        merged tail in ``_id`` order."""
+        tables = []
+        for sharding in (None, 3):
+            server = GoFlowServer(sharding=sharding)
+            for n, model in enumerate(["zeta", "alpha", "mid"]):
+                server.data.ingest(
+                    APP,
+                    {
+                        "obs_id": f"fig9:{n}",
+                        "user_id": f"u{n}",
+                        "model": model,
+                        "taken_at": float(n),
+                        "location": {"x_m": 600.0 * n, "y_m": 0.0},
+                    },
+                )
+            tables.append(server.analytics.per_model_table())
+        unsharded, sharded = tables
+        assert [row["model"] for row in unsharded] == ["zeta", "alpha", "mid"]
+        assert sharded == unsharded
+
+
 class TestScatter:
     def test_top_k_runs_every_shards_columnar_kernel(self, monkeypatch):
         sharded, unsharded = _twins()

@@ -317,7 +317,7 @@ class TestMiddlewareStatsKeyTree:
         stats = self._stats(2)
         assert _key_tree(stats) == {
             **_COMMON_TREE,
-            "materialized": {**_MATERIALIZED, "merged_shards": None},
+            "materialized": _MATERIALIZED,
             "columnar": {
                 **_leaves("enabled", "fresh", "sharded", "rows", "column_bytes"),
                 "shards": {name: _COLUMNAR for name in _SHARD_NAMES},

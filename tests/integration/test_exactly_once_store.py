@@ -127,6 +127,44 @@ class TestExactlyOnceWithoutWindow:
         _assert_views_recompute(server)
 
 
+class TestStoreWrittenBeforeTheIndex:
+    """A data directory written before the unique ``obs_id`` index can
+    hold two copies of one observation (the old bounded ledger's
+    lapse). Opening it keeps the copy first admitted, then declares the
+    index."""
+
+    @pytest.mark.parametrize(
+        "sharding, store_dir",
+        [(None, "."), (1, "shards/shard-00")],
+        ids=["unsharded", "shard-directory"],
+    )
+    def test_duplicate_obs_id_opens_with_one_copy(self, tmp_path, sharding, store_dir):
+        wire = _observation("u", 0)
+        stored = {
+            key: value for key, value in wire.items() if key != "user_id"
+        }
+        store = DocumentStore.recover(tmp_path / store_dir)
+        observations = store.collection("observations")
+        observations.insert_many([dict(stored, contributor="p-old")])
+        observations.insert_many([dict(stored, contributor="p-old", model="copy")])
+        store.journal.close()
+        for _ in range(2):  # the open, then a restart
+            server = _server(tmp_path, sharding)
+            copies = server.data.collection.find({"obs_id": wire["obs_id"]}).to_list()
+            assert [doc["model"] for doc in copies] == [wire["model"]]
+            # a retransmit stores nothing
+            assert server.data.ingest_many(APP, [dict(wire)]) == [None]
+            assert len(server.data.collection) == 1
+            live = server.data.materialized
+            recomputed = MaterializedAnalytics(server.data.collection)
+            for probe in ("totals", "per_model_groups", "day_counts", "provider_counts"):
+                assert getattr(live, probe)() == getattr(recomputed, probe)()
+            _assert_views_recompute(server)
+            if server.router is not None:
+                server.router.close()
+            server.store.journal.close()
+
+
 class TestRebalanceMergesOneObsId:
     def test_reused_stamp_on_two_shards_keeps_one_copy(self):
         """A client reusing one ``obs_id`` from two regions leaves a copy

@@ -394,3 +394,27 @@ class TestLateBuiltScopes:
         # kept: a second read rescans nothing
         server.streaming.tiles_snapshot(app_id=APP)
         assert server.streaming.stats()["tiles"]["deltas"] == 30
+
+    @pytest.mark.parametrize("sharding", [None, 4])
+    def test_scope_without_tile_subscriber_pulls_its_tail(self, sharding):
+        """A built scope nobody subscribes to costs the write path
+        nothing; its next reader folds the tail, not the store."""
+        server = GoFlowServer(sharding=sharding)
+        server.register_app(APP)
+        wire = _wire_documents([{"noise_dba": 40 + i} for i in range(40)])
+        server.data.ingest_many(APP, wire[:15])
+        server.streaming.tiles_snapshot(app_id=APP)
+        built = server.streaming.stats()["tiles"]["deltas"]
+        assert built == 15
+        # observation subscribers keep on_stored busy; none reads tiles
+        server.streaming.subscribe(FilterSpec(app_id=APP))
+        server.streaming.subscribe(FilterSpec())
+        for document in wire[15:]:
+            server.data.ingest_many(APP, [document])
+            assert server.streaming.stats()["tiles"]["deltas"] == built
+        snapshot = server.streaming.tiles_snapshot(app_id=APP)
+        # exactly the 25 new documents folded: a tail, not a rebuild
+        assert server.streaming.stats()["tiles"]["deltas"] == built + 25
+        assert snapshot == tiles_from_documents(
+            _scope_documents(server, APP), server.streaming.cell_m
+        )
